@@ -5,19 +5,19 @@ through the closure-based autograd graph — Python-level overhead per op,
 per parameter, per batch, per epoch.  The fused fast path
 (:mod:`repro.nn.fused`) hand-derives the forward/backward/update steps and
 trains a whole episode batch of candidate heads *simultaneously* on stacked
-``(C, in, out)`` parameter blocks.  This benchmark verifies the two
-load-bearing claims of that design on a realistic episode batch (the shape
-of one controller batch late in a Muffin search, when the controller has
-converged on a structure):
+``(C, in, out)`` parameter blocks, one block per activation.  This
+benchmark verifies the two load-bearing claims of that design on a
+realistic episode batch (one controller batch late in a Muffin search, when
+the controller has converged on a head shape), whose heads cycle through
+all four search-space activations — relu, tanh, leaky_relu and sigmoid:
 
 * the batched fused trainer returns **bit-identical** final weights and
   loss curves to the per-head autograd loop;
 * it is dramatically faster wherever Python overhead (not raw memory
   bandwidth) dominates.
 
-Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step; the legacy
-``HEAD_BENCH_IDENTITY_ONLY`` still works) skips the wall-clock assertion
-while keeping the identity check.  Like the parallel search benchmark, the
+Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step) skips the
+wall-clock assertion while keeping the identity check.  Like the parallel search benchmark, the
 speedup tiers degrade on constrained runners: a single-core box only
 prints the measured ratio (identity is still asserted), 2-3 cores require
 2x, and a genuinely multi-core runner must show the full 5x (threaded BLAS
@@ -43,6 +43,7 @@ from repro.core.trainer import train_head_on_outputs, train_heads_batched
 
 NUM_CANDIDATES = 8  # one episode batch
 HIDDEN_SIZES = (16,)
+ACTIVATIONS = ("relu", "tanh", "leaky_relu", "sigmoid")  # the search space's
 BODY_DIM = 24  # three fused members x eight ISIC classes
 NUM_CLASSES = 8
 PROXY_SIZE = 2000
@@ -60,7 +61,10 @@ def _workload():
 
 def _fresh_heads():
     return [
-        MuffinHead(BODY_DIM, NUM_CLASSES, HIDDEN_SIZES, "relu", seed=index)
+        MuffinHead(
+            BODY_DIM, NUM_CLASSES, HIDDEN_SIZES, ACTIVATIONS[index % len(ACTIVATIONS)],
+            seed=index,
+        )
         for index in range(NUM_CANDIDATES)
     ]
 

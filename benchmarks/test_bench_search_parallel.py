@@ -66,10 +66,10 @@ def _timed_search(pool: ModelPool, executor: str, rounds: int = 2):
             ),
             # Heavy enough per task (~0.3s) that pool start-up and per-task
             # pickling cannot eclipse the parallel win on a small runner.
-            # The fused fast path is pinned off: this benchmark measures the
+            # The fused kernels are pinned off: this benchmark measures the
             # *executor's* ability to parallelise the python-bound autograd
             # loop (the fused kernels have their own benchmark in
-            # test_bench_head_training.py, and bypass the executor).
+            # test_bench_head_training.py).
             head_config=HeadTrainConfig(epochs=60, seed=0, use_fused=False),
         )
         start = time.perf_counter()

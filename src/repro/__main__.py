@@ -132,8 +132,8 @@ def _run_command(argv: Sequence[str]) -> int:
     parser.add_argument(
         "--no-fused",
         action="store_true",
-        help="disable the fused head-training fast path (results are "
-        "bit-identical either way; this forces the autograd reference loop)",
+        help="train muffin heads and pool models on the autograd oracle instead "
+        "of the fused kernels (results are bit-identical either way)",
     )
     parser.add_argument(
         "--journal",

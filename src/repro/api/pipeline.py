@@ -373,8 +373,9 @@ class MuffinPipeline:
                         status="ran",
                         seconds=float(stats.train_seconds),
                         hash=stage_hash,
-                        detail="muffin-head training inside the search stage "
-                        "(fused batched kernels unless use_fused is disabled; "
+                        detail="muffin-head training inside the search stage: "
+                        "chunks of fused-kernel tasks mapped through the executor "
+                        "(the autograd oracle when use_fused is disabled; "
                         f"backend={stats.backend})",
                     )
                 )
@@ -404,7 +405,7 @@ class MuffinPipeline:
         return ModelPool(
             self._artifacts["split"],
             architecture_names=list(spec.architectures) if spec.architectures else None,
-            train_config=spec.train_config(),
+            train_config=spec.train_config(self.spec.execution),
             seed=spec.seed,
         ).build()
 
@@ -545,7 +546,9 @@ class MuffinPipeline:
         if not directory.exists():
             raise FileNotFoundError(directory)
         return load_pool(
-            directory, self._artifacts["split"], train_config=self.spec.pool.train_config()
+            directory,
+            self._artifacts["split"],
+            train_config=self.spec.pool.train_config(self.spec.execution),
         )
 
     def _load_search(self, stage_hash: str) -> MuffinSearchResult:

@@ -85,9 +85,13 @@ class PoolSpec:
         if self.epochs <= 0:
             raise SpecError("pool.epochs must be positive")
 
-    def train_config(self) -> TrainConfig:
+    def train_config(self, execution: Optional["ExecutionSpec"] = None) -> TrainConfig:
         return TrainConfig(
-            epochs=self.epochs, batch_size=self.batch_size, lr=self.lr, seed=self.seed
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            lr=self.lr,
+            seed=self.seed,
+            use_fused=execution.use_fused if execution is not None else True,
         )
 
 
@@ -182,9 +186,9 @@ class ExecutionSpec:
     max_workers: Optional[int] = None
     #: memoise evaluations on their (candidate, seed) key
     memoize: bool = True
-    #: train eligible muffin heads through the fused closed-form kernels
-    #: (bit-identical to the autograd path, much faster); ``False`` restores
-    #: the per-candidate autograd loop dispatched through the executor
+    #: train muffin heads and pool models on the fused closed-form kernels
+    #: (bit-identical to the autograd path, much faster); ``False`` forces
+    #: the autograd tape, the oracle, everywhere
     use_fused: bool = True
     #: path of the run's episode journal (``None`` = not journalled); the
     #: search appends every completed batch there and resumes from it

@@ -134,7 +134,7 @@ class MuffinHead(nn.Module):
 
     #: the head's forward is exactly ``self.mlp(x)``, so the fused-kernel
     #: eligibility walk (:func:`repro.nn.fused.extract_fused_stack`) may
-    #: unwrap it to the underlying Linear/ReLU stack
+    #: unwrap it to the underlying Linear stack
     fused_delegate = "mlp"
 
     def __init__(

@@ -22,14 +22,15 @@ unfairness and Eq. 3 rewards come out of a handful of array ops, with the
 frozen members' argmax labels computed once per batch and shared.
 
 Episodes inside one controller batch are independent until the REINFORCE
-update, so the search samples the whole batch up front and dispatches the
-train-and-evaluate work through a pluggable executor
-(:mod:`repro.core.execution`): ``serial``, ``thread`` or ``process``, all
-bit-identical for a fixed seed.  Evaluations are additionally memoised on a
-``(candidate, seed)`` key; with ``SearchConfig.candidate_seeds='derived'``
-the seed is hashed from the candidate itself, so re-sampled structures —
-common late in the search when the controller converges — return their
-record without retraining.
+update, so the search samples the whole batch up front, splits its
+candidates into one chunk per worker and maps the fused batched trainer
+(:func:`evaluate_task_batch`) over the chunks through a pluggable executor
+(:mod:`repro.core.execution`): ``serial``, ``thread``, ``process`` or
+``distributed``, all bit-identical for a fixed seed.  Evaluations are
+additionally memoised on a ``(candidate, seed)`` key; with
+``SearchConfig.candidate_seeds='derived'`` the seed is hashed from the
+candidate itself, so re-sampled structures — common late in the search
+when the controller converges — return their record without retraining.
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ from .reward import REWARDS, MultiFairnessReward, RewardConfig
 from .search_space import FusingCandidate, SearchSpace
 from .trainer import (
     HeadTrainConfig,
+    HeadTrainResult,
     train_head,
-    train_head_on_outputs,
     train_heads_batched,
 )
 
@@ -84,6 +85,12 @@ _BATCHES_TOTAL = METRICS.counter(
 _EPISODES_TOTAL = METRICS.counter(
     "repro_search_episodes_total",
     "Search episodes completed.",
+)
+_TASKS_TOTAL = METRICS.counter(
+    "repro_search_tasks_total",
+    "Candidate evaluations trained, by training path (fused kernels vs the "
+    "autograd tape).",
+    labelnames=("path",),
 )
 _TASK_BYTES_TOTAL = METRICS.counter(
     "repro_search_task_bytes_total",
@@ -426,6 +433,8 @@ class EvaluationOutcome:
     head_state: Dict[str, np.ndarray]
     losses: List[float]
     head_parameters: int
+    #: the engine that trained the head: ``"fused"`` or ``"autograd"``
+    path: str
 
 
 #: ndarray fields of :class:`EvaluationTask` the shared-memory transport may
@@ -496,12 +505,10 @@ def _build_task_head(task: EvaluationTask) -> MuffinHead:
     )
 
 
-def _finish_task(task: EvaluationTask, head: MuffinHead, losses: List[float]) -> EvaluationOutcome:
-    """Predict, arbitrate and assemble the outcome of one trained head.
-
-    Shared by :func:`evaluate_task` and :func:`evaluate_task_batch` so the
-    two paths cannot structurally drift.
-    """
+def _finish_task(
+    task: EvaluationTask, head: MuffinHead, train_result: HeadTrainResult
+) -> EvaluationOutcome:
+    """Predict, arbitrate and assemble the outcome of one trained head."""
     from .. import nn
 
     head_predictions = head(nn.Tensor(task.eval_outputs)).data.argmax(axis=-1)
@@ -509,80 +516,94 @@ def _finish_task(task: EvaluationTask, head: MuffinHead, losses: List[float]) ->
     return EvaluationOutcome(
         predictions=arbitrated.predictions,
         head_state=head.state_dict(),
-        losses=list(losses),
+        losses=list(train_result.losses),
         head_parameters=head.num_parameters(),
+        path=train_result.path,
     )
 
 
 def evaluate_task(task: EvaluationTask) -> EvaluationOutcome:
     """Train one muffin head and predict on the evaluation partition.
 
-    Module-level (hence picklable by reference for the process executor) and
-    a pure function of ``task``: it builds a fresh head seeded from
-    ``task.seed``, trains it with :func:`~repro.core.trainer.train_head_on_outputs`
-    (which seeds a local generator) and arbitrates predictions through
-    :func:`~repro.core.fusing.consensus_arbitrate_labels` using the member
-    labels precomputed once for the whole batch.
+    The one-task case of :func:`evaluate_task_batch`.
     """
-    # The span is a no-op in worker processes (no writer installed there);
-    # serial/thread executors record one "search/task" child per evaluation.
-    with span("search/task", seed=int(task.seed)):
-        task = resolve_task_arrays(task)
-        head = _build_task_head(task)
-        train_result = train_head_on_outputs(
-            head,
-            task.proxy_outputs,
-            task.proxy_labels,
-            task.proxy_weights,
-            task.num_classes,
-            task.head_config,
-        )
-        return _finish_task(task, head, train_result.losses)
+    return evaluate_task_batch([task])[0]
 
 
 def evaluate_task_batch(tasks: Sequence[EvaluationTask]) -> List[EvaluationOutcome]:
-    """Evaluate a whole episode batch through the fused batched trainer.
+    """Train and evaluate a chunk of tasks through the fused batched trainer.
 
-    Tasks sharing one proxy (labels, weights, training config — the normal
-    case: every episode of a batch trains on the same proxy dataset) are
-    trained *simultaneously* by :func:`~repro.core.trainer.train_heads_batched`,
-    which stacks same-shape candidate heads into flat ``(C, P)`` parameter
-    blocks and runs one batched forward/backward per minibatch.  Heads the
-    fused kernels cannot express (non-ReLU activations) fall back to the
-    per-task path inside the batched trainer.  Outcomes are **bit-identical**
-    to mapping :func:`evaluate_task` over the tasks, in input order.
+    A pure function of ``tasks``: each task builds a fresh head seeded from
+    ``task.seed``.  Tasks sharing one proxy (labels, weights, training
+    config — the normal case: every episode of a batch trains on the same
+    proxy dataset) are trained *simultaneously* by
+    :func:`~repro.core.trainer.train_heads_batched`, in lockstep in one
+    parameter block.  Predictions are arbitrated through
+    :func:`~repro.core.fusing.consensus_arbitrate_labels` with the member
+    labels precomputed once per batch.  Outcomes are **bit-identical** to
+    training each task alone (and to the autograd oracle), in input order.
     """
-    tasks = [resolve_task_arrays(task) for task in tasks]
-    outcomes: List[Optional[EvaluationOutcome]] = [None] * len(tasks)
-    group_indices: List[List[int]] = []
-    for index, task in enumerate(tasks):
+    # The span is a no-op in worker processes (no writer installed there).
+    with span("search/task_batch", tasks=len(tasks)):
+        tasks = [resolve_task_arrays(task) for task in tasks]
+        outcomes: List[Optional[EvaluationOutcome]] = [None] * len(tasks)
+        group_indices: List[List[int]] = []
+        for index, task in enumerate(tasks):
+            for indices in group_indices:
+                rep = tasks[indices[0]]
+                if (
+                    task.head_config == rep.head_config
+                    and task.num_classes == rep.num_classes
+                    and np.array_equal(task.proxy_labels, rep.proxy_labels)
+                    and np.array_equal(task.proxy_weights, rep.proxy_weights)
+                ):
+                    indices.append(index)
+                    break
+            else:
+                group_indices.append([index])
+
         for indices in group_indices:
             rep = tasks[indices[0]]
-            if (
-                task.head_config == rep.head_config
-                and task.num_classes == rep.num_classes
-                and np.array_equal(task.proxy_labels, rep.proxy_labels)
-                and np.array_equal(task.proxy_weights, rep.proxy_weights)
-            ):
-                indices.append(index)
-                break
-        else:
-            group_indices.append([index])
+            heads = [_build_task_head(tasks[i]) for i in indices]
+            train_results = train_heads_batched(
+                heads,
+                [tasks[i].proxy_outputs for i in indices],
+                rep.proxy_labels,
+                rep.proxy_weights,
+                rep.num_classes,
+                rep.head_config,
+            )
+            for i, head, train_result in zip(indices, heads, train_results):
+                outcomes[i] = _finish_task(tasks[i], head, train_result)
+        return [outcome for outcome in outcomes if outcome is not None]
 
-    for indices in group_indices:
-        rep = tasks[indices[0]]
-        heads = [_build_task_head(tasks[i]) for i in indices]
-        train_results = train_heads_batched(
-            heads,
-            [tasks[i].proxy_outputs for i in indices],
-            rep.proxy_labels,
-            rep.proxy_weights,
-            rep.num_classes,
-            rep.head_config,
-        )
-        for i, head, train_result in zip(indices, heads, train_results):
-            outcomes[i] = _finish_task(tasks[i], head, train_result.losses)
-    return [outcome for outcome in outcomes if outcome is not None]
+
+def evaluate_task_chunk(tasks: Sequence[EvaluationTask]) -> List[EvaluationOutcome]:
+    """The unit the search maps through its executor: one chunk of tasks.
+
+    Process and distributed workers resolve the mapped function by
+    ``module:qualname``; mapping this name rather than
+    :func:`evaluate_task_batch` itself keeps that lookup valid while a
+    timing or profiling wrapper is installed on ``evaluate_task_batch``.
+    """
+    return evaluate_task_batch(tasks)
+
+
+def split_into_chunks(items: Sequence, count: int) -> List[list]:
+    """Split ``items`` into ``min(count, len(items))`` contiguous chunks.
+
+    Chunk sizes differ by at most one, larger chunks first; concatenating
+    the chunks gives back ``items`` in order.
+    """
+    count = max(1, min(int(count), len(items)))
+    size, extra = divmod(len(items), count)
+    chunks: List[list] = []
+    start = 0
+    for index in range(count):
+        stop = start + size + (1 if index < extra else 0)
+        chunks.append(list(items[start:stop]))
+        start = stop
+    return chunks
 
 
 class MuffinSearch:
@@ -833,56 +854,37 @@ class MuffinSearch:
         if to_evaluate:
             tasks = [self._task_for(candidate, seed) for candidate, seed in to_evaluate]
             train_start = time.perf_counter()
-            # Partition: ReLU heads are Linear/ReLU stacks the fused batched
-            # kernels express, so they train simultaneously on the calling
-            # thread (nothing left to parallelise); everything else — other
-            # activations, or the whole batch under use_fused=False — keeps
-            # the per-candidate autograd path dispatched through the
-            # executor.  Results are bit-identical either way, so the split
-            # only moves wall-clock.
-            use_fused = self.head_config.use_fused
-            fused_indices = [
-                index
-                for index, task in enumerate(tasks)
-                if use_fused and task.activation == "relu"
-            ]
-            fused_index_set = set(fused_indices)
-            other_indices = [
-                index for index in range(len(tasks)) if index not in fused_index_set
-            ]
-            placed: List[Optional[EvaluationOutcome]] = [None] * len(tasks)
-            if fused_indices:
-                for index, outcome in zip(
-                    fused_indices, evaluate_task_batch([tasks[i] for i in fused_indices])
-                ):
-                    placed[index] = outcome
-            if other_indices:
-                own_executor = executor is None
-                if own_executor:
-                    executor = build_executor(
-                        self.search_config.executor, self.search_config.max_workers
-                    )
-                send_tasks = [tasks[i] for i in other_indices]
+            own_executor = executor is None
+            if own_executor:
+                executor = build_executor(
+                    self.search_config.executor, self.search_config.max_workers
+                )
+            try:
+                # One chunk per worker: each chunk trains on the fused
+                # batched kernels wherever the executor runs it (the calling
+                # thread for ``serial``), so the executor parallelises whole
+                # fused batches, and results never depend on the split.
+                chunks = split_into_chunks(tasks, getattr(executor, "max_workers", 1))
                 # Process-crossing executors advertise it; their tasks swap
                 # ndarray payloads for shared-memory descriptors so each
                 # cached matrix crosses the boundary as a ~100-byte triple.
                 if getattr(executor, "ships_tasks_across_processes", False):
-                    send_tasks = [self._ship_task(task) for task in send_tasks]
-                    for task in send_tasks:
-                        raw, shipped = task_payload_bytes(task)
-                        self.task_bytes_raw += raw
-                        self.task_bytes_shipped += shipped
-                        _TASK_BYTES_TOTAL.inc(raw, kind="raw")
-                        _TASK_BYTES_TOTAL.inc(shipped, kind="shipped")
-                try:
-                    mapped = executor.map(evaluate_task, send_tasks)
-                finally:
-                    if own_executor:
-                        executor.shutdown()
-                        self._cache.release_shared_segments()
-                for index, outcome in zip(other_indices, mapped):
-                    placed[index] = outcome
-            outcomes = [outcome for outcome in placed if outcome is not None]
+                    chunks = [[self._ship_task(task) for task in chunk] for chunk in chunks]
+                    for chunk in chunks:
+                        for task in chunk:
+                            raw, shipped = task_payload_bytes(task)
+                            self.task_bytes_raw += raw
+                            self.task_bytes_shipped += shipped
+                            _TASK_BYTES_TOTAL.inc(raw, kind="raw")
+                            _TASK_BYTES_TOTAL.inc(shipped, kind="shipped")
+                mapped = executor.map(evaluate_task_chunk, chunks)
+            finally:
+                if own_executor:
+                    executor.shutdown()
+                    self._cache.release_shared_segments()
+            outcomes = [outcome for chunk_outcomes in mapped for outcome in chunk_outcomes]
+            for outcome in outcomes:
+                _TASKS_TOTAL.inc(path=outcome.path)
             self.train_seconds += time.perf_counter() - train_start
 
         fresh_records = self._records_from_outcomes(

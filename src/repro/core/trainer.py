@@ -6,22 +6,17 @@ MSE of Equation 2 (a weighted cross-entropy variant is also provided for
 ablations), and the optimiser defaults to Adam, which converges in a few
 dozen epochs on the small head.
 
-Two implementations produce bit-identical results:
+There is one training engine and one oracle, with bit-identical results:
 
-* the **autograd reference** — the closure-based tape of
-  :mod:`repro.nn.tensor`, kept as the always-correct oracle for any head
-  structure;
-* the **fused fast path** — the closed-form kernels of
-  :mod:`repro.nn.fused`, used automatically for eligible heads (pure
-  Linear/ReLU stacks, which is every ``relu`` candidate the search space
-  produces).  :func:`train_heads_batched` extends it across a whole episode
-  batch, training C candidate heads simultaneously on stacked ``(C, in,
-  out)`` parameter blocks — one batched forward/backward per minibatch for
-  the entire batch.
-
-``HeadTrainConfig.use_fused`` is the escape hatch: ``False`` forces the
-autograd path everywhere (and restores per-candidate dispatch through the
-search's executor).
+* the **fused kernels** of :mod:`repro.nn.fused` train every head the
+  search space produces — ``Linear (Act Linear)*`` stacks for each of its
+  activations (``relu``, ``tanh``, ``sigmoid``, ``leaky_relu``).
+  :func:`train_heads_batched` trains C candidate heads simultaneously on
+  stacked ``(C, in, out)`` parameter blocks, one group per activation and
+  shape signature;
+* the **autograd tape** of :mod:`repro.nn.tensor` is the oracle.
+  ``HeadTrainConfig.use_fused=False`` forces it everywhere, and it also
+  trains plugin heads the kernels cannot express (dropout, custom layers).
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .. import nn
-from ..nn.fused import extract_fused_stack, train_linear_relu_stacks
+from ..nn.fused import extract_fused_stack, train_fused_stacks
 from ..utils.rng import get_rng
 from .backend import DEFAULT_BACKEND, get_backend
 from .fusing import FusedModel
@@ -52,10 +47,9 @@ class HeadTrainConfig:
     loss: str = "weighted_mse"
     seed: int = 0
     verbose: bool = False
-    #: dispatch eligible heads (pure Linear/ReLU stacks) to the graph-free
-    #: fused kernels of :mod:`repro.nn.fused`.  Results are bit-identical to
-    #: the autograd path; ``False`` forces the closure-based reference loop
-    #: (and, in the search, per-candidate dispatch through the executor).
+    #: train eligible heads (every search-space head) on the graph-free fused
+    #: kernels of :mod:`repro.nn.fused`.  Results are bit-identical to the
+    #: autograd path; ``False`` forces the closure-based oracle loop.
     use_fused: bool = True
     #: array backend the fused kernels run on (``repro.core.backend.BACKENDS``
     #: name).  The default is bit-identical to the autograd oracle; the
@@ -87,6 +81,8 @@ class HeadTrainResult:
     losses: List[float] = field(default_factory=list)
     proxy_size: int = 0
     epochs: int = 0
+    #: the engine that trained the head: ``"fused"`` or ``"autograd"``
+    path: str = "autograd"
 
     def to_dict(self) -> Dict[str, object]:
         return {"losses": list(self.losses), "proxy_size": self.proxy_size, "epochs": self.epochs}
@@ -164,10 +160,10 @@ def train_head_on_outputs(
     touches no live model or dataset objects — so the search loop can run it
     concurrently on threads or worker processes with bit-identical results.
 
-    Heads that are pure Linear/ReLU stacks take the fused closed-form fast
-    path (:mod:`repro.nn.fused`) unless ``config.use_fused`` is ``False``;
-    anything else falls back to the autograd reference loop.  Both paths
-    return bit-identical weights and loss curves.
+    Heads that are ``Linear (Act Linear)*`` stacks take the fused
+    closed-form kernels (:mod:`repro.nn.fused`) unless ``config.use_fused``
+    is ``False``; anything else falls back to the autograd reference loop.
+    Both paths return bit-identical weights and loss curves.
     """
     config = config or HeadTrainConfig()
 
@@ -179,7 +175,7 @@ def train_head_on_outputs(
     if config.use_fused:
         stack = extract_fused_stack(head)
         if stack is not None:
-            curves = train_linear_relu_stacks(
+            curves = train_fused_stacks(
                 [stack],
                 [body_outputs],
                 labels,
@@ -195,7 +191,7 @@ def train_head_on_outputs(
                 backend=config.backend,
             )
             result = HeadTrainResult(
-                losses=curves[0], proxy_size=labels.shape[0], epochs=config.epochs
+                losses=curves[0], proxy_size=labels.shape[0], epochs=config.epochs, path="fused"
             )
             if config.verbose:
                 for epoch, value in enumerate(result.losses):
@@ -220,17 +216,18 @@ def train_heads_batched(
     ``heads[c]`` is trained on ``body_outputs[c]`` (its own concatenated
     body-probability matrix — candidates select different model subsets, so
     widths may differ) against the shared ``labels``/``sample_weights`` of
-    the episode batch's proxy dataset.  Heads are grouped by layer-shape
-    signature; each group's parameters are stacked into flat ``(C, P)``
-    buffers and trained with one batched forward/backward per minibatch
-    (:func:`repro.nn.fused.train_linear_relu_stacks`).
+    the episode batch's proxy dataset.  All eligible heads train in
+    lockstep in one parameter block (:func:`repro.nn.fused.train_fused_stacks`):
+    heads of one activation and shape signature share a batched
+    forward/backward per minibatch, and the loss kernel and the optimiser
+    step run once per minibatch for all of them.
 
     Results are **bit-identical** to calling :func:`train_head_on_outputs`
     on each head alone: all heads share ``config`` (hence the same seeded
     shuffle stream), and the batched kernels replicate the autograd op order
-    per candidate.  Heads that are not pure Linear/ReLU stacks — or every
-    head, when ``config.use_fused`` is ``False`` — fall back to the per-head
-    path transparently.
+    per candidate.  Heads the kernels cannot express — or every head, when
+    ``config.use_fused`` is ``False`` — fall back to the per-head path
+    transparently.
     """
     config = config or HeadTrainConfig()
     heads = list(heads)
@@ -243,22 +240,22 @@ def train_heads_batched(
         _validate_training_inputs(matrix, labels, weights)
 
     results: List[Optional[HeadTrainResult]] = [None] * len(heads)
-    groups: Dict[tuple, List[int]] = {}
+    fused_indices: List[int] = []
     stacks = []
     for index, head in enumerate(heads):
         stack = extract_fused_stack(head) if config.use_fused else None
-        stacks.append(stack)
         if stack is None:
             results[index] = train_head_on_outputs(
                 head, matrices[index], labels, weights, num_classes, config
             )
         else:
-            groups.setdefault(stack.shapes, []).append(index)
+            fused_indices.append(index)
+            stacks.append(stack)
 
-    for indices in groups.values():
-        curves = train_linear_relu_stacks(
-            [stacks[i] for i in indices],
-            [matrices[i] for i in indices],
+    if stacks:
+        curves = train_fused_stacks(
+            stacks,
+            [matrices[i] for i in fused_indices],
             labels,
             weights,
             num_classes,
@@ -271,9 +268,9 @@ def train_heads_batched(
             seed=config.seed,
             backend=config.backend,
         )
-        for index, curve in zip(indices, curves):
+        for index, curve in zip(fused_indices, curves):
             results[index] = HeadTrainResult(
-                losses=curve, proxy_size=labels.shape[0], epochs=config.epochs
+                losses=curve, proxy_size=labels.shape[0], epochs=config.epochs, path="fused"
             )
     return [result for result in results if result is not None]
 

@@ -1,8 +1,9 @@
-"""Graph-free fused training kernels for Linear/ReLU MLP stacks.
+"""Graph-free fused training kernels for small Linear MLP stacks.
 
-The muffin head is a small Linear/ReLU MLP trained with the Equation-2
-weighted-MSE loss (or the weighted cross-entropy ablation).  Pushing every
-minibatch through the closure-based autograd graph of
+The muffin head is a small MLP trained with the Equation-2 weighted-MSE
+loss (or the weighted cross-entropy ablation), and every pool model's
+classifier is a single Linear layer trained with cross-entropy.  Pushing
+every minibatch through the closure-based autograd graph of
 :mod:`repro.nn.tensor` pays Python-level overhead per op, per parameter,
 per batch, per epoch — for a model whose whole forward/backward is a
 handful of GEMMs.  This module hand-derives the closed-form forward and
@@ -14,31 +15,40 @@ weights and recorded loss curves match the oracle to the last bit — the
 property :mod:`tests.test_nn_fused` asserts across randomized
 configurations.
 
-All kernels carry a leading candidate axis ``C``: C heads with the same
-layer shapes train *simultaneously*, their parameters packed into one flat
-contiguous ``(C, P)`` buffer whose per-layer views are ``(C, in, out)``
-weight blocks.  numpy's stacked matmul dispatches the same per-slice BLAS
-GEMM a 2-D call would (each candidate's block is a contiguous 2-D matrix),
-so the batched path stays bit-identical to training each head alone while
-amortising the Python interpreter and the optimiser bookkeeping across the
-whole episode batch.  A single head is simply the ``C == 1`` case.
+All kernels carry a leading candidate axis ``C``: C heads train
+*simultaneously*, their parameters packed into one flat contiguous buffer.
+Heads with the same activation and layer shapes share a ``(C_g, P_g)``
+slab whose per-layer views are ``(C_g, in, out)`` weight blocks; numpy's
+stacked matmul dispatches the same per-slice BLAS GEMM a 2-D call would
+(each candidate's block is a contiguous 2-D matrix).  The loss kernels and
+the optimiser step run once per minibatch over every head of the buffer,
+whatever its shape, so the batched path stays bit-identical to training
+each head alone while amortising the Python interpreter and the optimiser
+bookkeeping across the whole chunk of heads.  A single head is simply the
+``C == 1`` case.
+
+These kernels are the one training engine of the search and the model
+pool; the autograd tape stays behind ``use_fused=False`` as their oracle.
 
 Eligibility is structural, not nominal: :func:`extract_fused_stack` walks a
-module tree and succeeds only for a pure ``Linear (ReLU Linear)*`` chain
-with biases (optionally reached through ``Sequential`` / ``MLP`` containers
-or a module declaring ``fused_delegate``).  Anything else — other
-activations, dropout, custom layers — returns ``None`` and the caller keeps
-the autograd path, so the fast path can never silently change results.
+module tree and succeeds only for a pure ``Linear (Act Linear)*`` chain
+with biases, where ``Act`` is one activation module — ``ReLU``, ``Tanh``,
+``Sigmoid`` or ``LeakyReLU`` (the four activations of the muffin-head
+search space) — used for every hidden layer (optionally reached through
+``Sequential`` / ``MLP`` containers or a module declaring
+``fused_delegate``).  Anything else — mixed activations, dropout, custom
+layers — returns ``None`` and the caller keeps the autograd path, so the
+fast path can never silently change results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .modules import MLP, Linear, Module, ReLU, Sequential
+from .modules import MLP, LeakyReLU, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
 
 
 def _resolve_backend(backend):
@@ -54,24 +64,63 @@ __all__ = [
     "FusedParamBlock",
     "FusedAdam",
     "FusedSGD",
+    "FusedActivation",
     "extract_fused_stack",
-    "train_linear_relu_stacks",
+    "mean_ce_value_and_grad",
+    "weighted_ce_value_and_grad",
+    "weighted_mse_value_and_grad",
+    "train_fused_stacks",
 ]
 
 
 # ----------------------------------------------------------------------
 # Structural eligibility
 # ----------------------------------------------------------------------
+#: Activation modules the kernels express, by the name a stack records.
+_ACTIVATION_NAMES = {ReLU: "relu", Tanh: "tanh", Sigmoid: "sigmoid", LeakyReLU: "leaky_relu"}
+
+
+@dataclass(frozen=True)
+class FusedActivation:
+    """The hidden-layer activation of one stack: a name plus its slope.
+
+    ``negative_slope`` is read from the ``LeakyReLU`` module and is ``0.0``
+    for every other activation, so two stacks compare equal exactly when
+    their hidden layers compute the same function.
+    """
+
+    name: str
+    negative_slope: float = 0.0
+
+    @classmethod
+    def of(cls, module: Module) -> Optional["FusedActivation"]:
+        name = _ACTIVATION_NAMES.get(type(module))
+        if name is None:
+            return None
+        slope = float(module.negative_slope) if name == "leaky_relu" else 0.0
+        return cls(name, slope)
+
+
 @dataclass
 class FusedStack:
-    """The ordered ``Linear`` layers of one eligible Linear/ReLU MLP."""
+    """The ordered ``Linear`` layers of one eligible MLP and their activation.
+
+    ``activation`` is ``None`` for a single-``Linear`` stack, which has no
+    hidden layer to activate.
+    """
 
     linears: List[Linear]
+    activation: Optional[FusedActivation] = None
 
     @property
     def shapes(self) -> Tuple[Tuple[int, int], ...]:
-        """Per-layer ``(in_features, out_features)`` — the grouping key."""
+        """Per-layer ``(in_features, out_features)``."""
         return tuple((lin.in_features, lin.out_features) for lin in self.linears)
+
+    @property
+    def signature(self) -> Tuple[Optional[FusedActivation], Tuple[Tuple[int, int], ...]]:
+        """The grouping key: stacks train together only if both parts match."""
+        return self.activation, self.shapes
 
     @property
     def num_parameters(self) -> int:
@@ -88,7 +137,7 @@ def _flatten_layers(module: Module) -> Optional[List[Module]]:
     chain makes the whole stack ineligible rather than risking a silently
     different forward.
     """
-    if isinstance(module, (Linear, ReLU)):
+    if isinstance(module, Linear) or type(module) in _ACTIVATION_NAMES:
         return [module]
     if isinstance(module, MLP):
         return _flatten_layers(module.body)
@@ -109,18 +158,19 @@ def _flatten_layers(module: Module) -> Optional[List[Module]]:
 
 
 def extract_fused_stack(module: Module) -> Optional[FusedStack]:
-    """Return the module's Linear/ReLU stack if it is fusion-eligible.
+    """Return the module's Linear stack if it is fusion-eligible.
 
     Eligible means the flattened layer sequence is exactly
-    ``Linear (ReLU Linear)*`` and every ``Linear`` has a bias — the shape of
-    every muffin head the search space produces with the ``relu``
-    activation.  Returns ``None`` (caller keeps the autograd path) for
-    anything else.
+    ``Linear (Act Linear)*`` with one activation for every hidden layer and
+    a bias on every ``Linear`` — the shape of every muffin head the search
+    space produces, and of every pool model's classifier.  Returns ``None``
+    (caller keeps the autograd path) for anything else.
     """
     layers = _flatten_layers(module)
     if not layers:
         return None
     linears: List[Linear] = []
+    activation: Optional[FusedActivation] = None
     expect_linear = True
     for layer in layers:
         if expect_linear:
@@ -129,66 +179,120 @@ def extract_fused_stack(module: Module) -> Optional[FusedStack]:
             linears.append(layer)
             expect_linear = False
         else:
-            if not isinstance(layer, ReLU):
+            current = FusedActivation.of(layer)
+            if current is None or (activation is not None and current != activation):
                 return None
+            activation = current
             expect_linear = True
-    if expect_linear:  # sequence ended on a ReLU
+    if expect_linear:  # sequence ended on an activation
         return None
-    return FusedStack(linears)
+    return FusedStack(linears, activation)
 
 
 # ----------------------------------------------------------------------
 # Flat contiguous parameter block
 # ----------------------------------------------------------------------
-class FusedParamBlock:
-    """``C`` same-shape stacks packed into flat ``(C, P)`` buffers.
+class _SignatureGroup:
+    """The stacks of one signature, as a ``(C_g, P_g)`` slab of the block.
 
-    ``theta`` holds the parameters, ``grad`` the gradients; both expose
-    per-layer views (``(C, in, out)`` weights, ``(C, 1, out)`` biases) into
-    the same memory, so the forward/backward kernels read and write the
-    exact buffers the flat optimiser updates — no copies per minibatch.
+    Per-layer views (``(C_g, in, out)`` weights, ``(C_g, 1, out)`` biases)
+    alias the slab of ``theta`` and of ``grad``, so the forward/backward
+    kernels read and write the exact memory the flat optimiser updates.
     """
 
-    def __init__(self, stacks: Sequence[FusedStack], dtype=np.float64) -> None:
-        if not stacks:
-            raise ValueError("FusedParamBlock needs at least one stack")
-        shapes = stacks[0].shapes
-        for stack in stacks[1:]:
-            if stack.shapes != shapes:
-                raise ValueError(
-                    f"all stacks must share one shape signature; got {stack.shapes} "
-                    f"vs {shapes}"
-                )
+    def __init__(self, stacks: Sequence[FusedStack], theta: np.ndarray, grad: np.ndarray) -> None:
         self.stacks = list(stacks)
-        self.shapes = shapes
-        self.dtype = np.dtype(dtype)
-        self.num_candidates = len(self.stacks)
-        self.num_parameters = sum(fin * fout + fout for fin, fout in shapes)
-
-        C, P = self.num_candidates, self.num_parameters
-        self.theta = np.empty((C, P), dtype=self.dtype)
-        self.grad = np.zeros((C, P), dtype=self.dtype)
+        self.activation, self.shapes = self.stacks[0].signature
+        C = len(self.stacks)
+        self.num_candidates = C
         self.weights: List[np.ndarray] = []
         self.biases: List[np.ndarray] = []
         self.grad_weights: List[np.ndarray] = []
         self.grad_biases: List[np.ndarray] = []
         offset = 0
-        for fin, fout in shapes:
+        for fin, fout in self.shapes:
             size = fin * fout
-            self.weights.append(self.theta[:, offset : offset + size].reshape(C, fin, fout))
-            self.grad_weights.append(self.grad[:, offset : offset + size].reshape(C, fin, fout))
+            self.weights.append(theta[:, offset : offset + size].reshape(C, fin, fout))
+            self.grad_weights.append(grad[:, offset : offset + size].reshape(C, fin, fout))
             offset += size
-            self.biases.append(self.theta[:, offset : offset + fout].reshape(C, 1, fout))
-            self.grad_biases.append(self.grad[:, offset : offset + fout].reshape(C, fout))
+            self.biases.append(theta[:, offset : offset + fout].reshape(C, 1, fout))
+            self.grad_biases.append(grad[:, offset : offset + fout].reshape(C, fout))
             offset += fout
         for c, stack in enumerate(self.stacks):
             for layer, linear in enumerate(stack.linears):
                 self.weights[layer][c] = linear.weight.data
                 self.biases[layer][c, 0] = linear.bias.data
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.shapes)
+
+class FusedParamBlock:
+    """``C`` stacks packed into one flat parameter buffer, trained in lockstep.
+
+    Stacks are grouped by signature (activation and layer shapes) in
+    first-appearance order; ``members[g]`` lists the input positions of
+    group ``g``'s stacks and ``order`` is every position in block order (the
+    row order of the logits and losses).  Each group owns a contiguous
+    ``(C_g, P_g)`` slab of ``theta``/``grad``.  The forward and backward run
+    once per group; the loss kernel runs once on all ``C`` candidates'
+    logits and the optimiser steps the whole buffer at once.  Each
+    candidate's arithmetic is the same whatever else shares the block (the
+    loss kernels reduce per row, the optimisers work elementwise), so a
+    mixed block stays bit-identical to training every stack alone.
+    """
+
+    def __init__(self, stacks: Sequence[FusedStack], dtype=np.float64) -> None:
+        if not stacks:
+            raise ValueError("FusedParamBlock needs at least one stack")
+        self.stacks = list(stacks)
+        self.dtype = np.dtype(dtype)
+        by_signature: Dict[tuple, List[int]] = {}
+        for index, stack in enumerate(self.stacks):
+            by_signature.setdefault(stack.signature, []).append(index)
+        self.members: List[List[int]] = list(by_signature.values())
+        self.order: List[int] = [index for indices in self.members for index in indices]
+        self.num_candidates = len(self.stacks)
+        sizes = [len(indices) * self.stacks[indices[0]].num_parameters for indices in self.members]
+        self.theta = np.empty(sum(sizes), dtype=self.dtype)
+        self.grad = np.zeros(sum(sizes), dtype=self.dtype)
+        self.groups: List[_SignatureGroup] = []
+        offset = 0
+        for indices, size in zip(self.members, sizes):
+            slab = (len(indices), size // len(indices))
+            self.groups.append(
+                _SignatureGroup(
+                    [self.stacks[i] for i in indices],
+                    self.theta[offset : offset + size].reshape(slab),
+                    self.grad[offset : offset + size].reshape(slab),
+                )
+            )
+            offset += size
+
+    def train_step(self, optimizer, inputs: Sequence[np.ndarray], loss_kernel, *loss_args):
+        """One minibatch: forward, loss, backward and optimiser step.
+
+        ``inputs[g]`` is group ``g``'s ``(C_g, B, in_g)`` minibatch,
+        ``loss_kernel(logits, *loss_args)`` one of the loss kernels below
+        and ``optimizer`` a :class:`FusedAdam` / :class:`FusedSGD` over
+        ``theta``.  Returns the ``(C,)`` minibatch losses in block order.
+        """
+        passes = [
+            _forward(group.weights, group.biases, x, group.activation)
+            for group, x in zip(self.groups, inputs)
+        ]
+        if len(passes) == 1:
+            logits = passes[0][0]
+        else:
+            logits = np.concatenate([logits for logits, _, _ in passes])
+        losses, g_logits = loss_kernel(logits, *loss_args)
+        start = 0
+        for group, (_, activations, saved) in zip(self.groups, passes):
+            stop = start + group.num_candidates
+            _backward(
+                group.weights, group.grad_weights, group.grad_biases,
+                g_logits[start:stop], activations, saved, group.activation,
+            )
+            start = stop
+        optimizer.step(self.theta, self.grad)
+        return losses
 
     def write_back(self) -> None:
         """Copy the trained flat parameters back into the live modules.
@@ -199,54 +303,92 @@ class FusedParamBlock:
         out so downstream consumers (state dicts, artifacts, the autograd
         oracle) keep one canonical parameter dtype.
         """
-        for c, stack in enumerate(self.stacks):
-            for layer, linear in enumerate(stack.linears):
-                linear.weight.data = self.weights[layer][c].astype(np.float64)
-                linear.bias.data = self.biases[layer][c, 0].astype(np.float64)
+        for group in self.groups:
+            for c, stack in enumerate(group.stacks):
+                for layer, linear in enumerate(stack.linears):
+                    linear.weight.data = group.weights[layer][c].astype(np.float64)
+                    linear.bias.data = group.biases[layer][c, 0].astype(np.float64)
 
 
 # ----------------------------------------------------------------------
 # Closed-form forward / backward
 # ----------------------------------------------------------------------
-def _forward(weights, biases, x: np.ndarray):
-    """Batched MLP forward; returns (logits, layer inputs, relu masks).
+def _activate(activation: FusedActivation, z: np.ndarray):
+    """One hidden activation; returns ``(output, saved)`` for :func:`_backward`.
+
+    Each branch is the tape's op sequence (:mod:`repro.nn.tensor`): ReLU and
+    leaky ReLU multiply by a saved mask (not ``np.maximum``, which would
+    lose autograd's signed zeros); sigmoid and tanh save their output, from
+    which the backward derives the local gradient.
+    """
+    name = activation.name
+    if name == "relu":
+        mask = (z > 0).astype(z.dtype)
+        return z * mask, mask
+    if name == "leaky_relu":
+        mask = np.where(z > 0, 1.0, activation.negative_slope).astype(z.dtype, copy=False)
+        return z * mask, mask
+    if name == "sigmoid":
+        out = 1.0 / (1.0 + np.exp(-z))
+        return out, out
+    if name == "tanh":
+        out = np.tanh(z)
+        return out, out
+    raise ValueError(f"no fused kernel for activation '{name}'")
+
+
+def _activation_grad(activation: FusedActivation, g: np.ndarray, saved: np.ndarray):
+    """The gradient through one hidden activation, in the tape's op order."""
+    name = activation.name
+    if name == "sigmoid":
+        return g * saved * (1.0 - saved)
+    if name == "tanh":
+        return g * (1.0 - saved ** 2)
+    return g * saved  # relu / leaky_relu: the saved mask
+
+
+def _forward(weights, biases, x: np.ndarray, activation: Optional[FusedActivation]):
+    """Batched MLP forward; returns (logits, layer inputs, activation saves).
 
     Replicates the autograd op order exactly: ``z = a @ W`` then
-    ``z = z + b``, and ReLU as ``mask = (z > 0); a = z * mask`` (the mask
-    multiply — not ``np.maximum`` — preserves autograd's signed zeros).
+    ``z = z + b``, then the hidden activation (:func:`_activate`).
     """
     activations = [x]
-    masks: List[np.ndarray] = []
+    saved: List[np.ndarray] = []
     a = x
     last = len(weights) - 1
     for layer in range(last + 1):
         z = np.matmul(a, weights[layer])
         z = z + biases[layer]
         if layer < last:
-            mask = (z > 0).astype(z.dtype)
-            a = z * mask
-            masks.append(mask)
+            a, keep = _activate(activation, z)
+            saved.append(keep)
             activations.append(a)
         else:
             a = z
-    return a, activations, masks
+    return a, activations, saved
 
 
-def _backward(weights, grad_weights, grad_biases, g_logits: np.ndarray, activations, masks) -> None:
+def _backward(
+    weights, grad_weights, grad_biases, g_logits: np.ndarray, activations, saved, activation
+) -> None:
     """Batched backward from the logits gradient into the flat grad buffer.
 
     Mirrors the tape: bias gradients are the batch-axis sum, weight
-    gradients ``aᵀ @ g``, and the activation gradient ``(g @ Wᵀ) * mask``.
+    gradients ``aᵀ @ g``, and the hidden gradient ``g @ Wᵀ`` passed through
+    the activation (:func:`_activation_grad`).
     """
     g = g_logits
     for layer in range(len(weights) - 1, -1, -1):
-        np.sum(g, axis=1, out=grad_biases[layer])
+        np.add.reduce(g, axis=1, out=grad_biases[layer])
         np.matmul(activations[layer].swapaxes(1, 2), g, out=grad_weights[layer])
         if layer > 0:
-            g = np.matmul(g, weights[layer].swapaxes(1, 2)) * masks[layer - 1]
+            g = _activation_grad(
+                activation, np.matmul(g, weights[layer].swapaxes(1, 2)), saved[layer - 1]
+            )
 
 
-def _weighted_mse_value_and_grad(
+def weighted_mse_value_and_grad(
     logits: np.ndarray, target_dist: np.ndarray, batch_weights: np.ndarray
 ):
     """Equation-2 weighted-MSE loss values and logits gradient.
@@ -282,39 +424,67 @@ def _weighted_mse_value_and_grad(
     return losses, g_logits
 
 
-def _weighted_ce_value_and_grad(
-    logits: np.ndarray, target_dist: np.ndarray, batch_weights: np.ndarray
-):
-    """Weighted cross-entropy (the Equation-2 ablation) values and gradient.
+def _log_softmax_ce(logits: np.ndarray, target_dist: np.ndarray):
+    """Per-sample cross-entropy of ``(C, B, K)`` logits; returns the saves too.
 
-    Matches :func:`repro.nn.functional.cross_entropy` with per-sample
-    weights and no label smoothing: log-softmax, one-hot dot product, and
-    sum-normalised weights.
+    Matches :func:`repro.nn.functional.cross_entropy`: log-softmax, then the
+    negated target-distribution dot product.
     """
-    norm = batch_weights.sum()
-    if norm <= 0:
-        raise ValueError("weights must sum to a positive value")
     mx = logits.max(axis=-1, keepdims=True)
     shifted = logits - mx
     ex = np.exp(shifted)
     s = ex.sum(axis=-1, keepdims=True)
     log_probs = shifted - np.log(s)
     per_sample = -((target_dist * log_probs).sum(axis=-1))
-    wn = batch_weights / norm
-    losses = (per_sample * wn).sum(axis=-1)
+    return per_sample, ex, s
 
-    # Backward: weighted sum → negation → per-class sum → log-softmax
-    # (the shifted node accumulates the direct and the exp-path gradients).
-    g_lp = (-wn)[..., None] * target_dist
+
+def _ce_logits_grad(g_per_sample: np.ndarray, target_dist: np.ndarray, ex, s) -> np.ndarray:
+    """Backward from each sample's loss gradient to the logits.
+
+    Negation → per-class sum → log-softmax (the shifted node accumulates
+    the direct and the exp-path gradients).
+    """
+    g_lp = (-g_per_sample)[..., None] * target_dist
     g_lg = (-g_lp).sum(axis=-1, keepdims=True)
     g_s = g_lg / s
-    g_logits = g_lp + g_s * ex
-    return losses, g_logits
+    return g_lp + g_s * ex
+
+
+def weighted_ce_value_and_grad(
+    logits: np.ndarray, target_dist: np.ndarray, batch_weights: np.ndarray
+):
+    """Weighted cross-entropy (the Equation-2 ablation) values and gradient.
+
+    Per-sample weights are sum-normalised, as
+    :func:`repro.nn.functional.cross_entropy` does with ``weights``; label
+    smoothing arrives already folded into ``target_dist``.
+    """
+    norm = batch_weights.sum()
+    if norm <= 0:
+        raise ValueError("weights must sum to a positive value")
+    per_sample, ex, s = _log_softmax_ce(logits, target_dist)
+    wn = batch_weights / norm
+    losses = (per_sample * wn).sum(axis=-1)
+    return losses, _ce_logits_grad(wn, target_dist, ex, s)
+
+
+def mean_ce_value_and_grad(logits: np.ndarray, target_dist: np.ndarray):
+    """Unweighted mean cross-entropy values and gradient.
+
+    The tape's ``mean`` is ``sum * (1/N)``, so the value is computed that
+    way and every sample's loss receives the gradient ``1/N``.
+    """
+    batch = logits.shape[-2]
+    per_sample, ex, s = _log_softmax_ce(logits, target_dist)
+    losses = per_sample.sum(axis=-1) * (1.0 / batch)
+    g_mean = np.full(batch, 1.0 / batch, dtype=logits.dtype)
+    return losses, _ce_logits_grad(g_mean, target_dist, ex, s)
 
 
 _LOSS_KERNELS = {
-    "weighted_mse": _weighted_mse_value_and_grad,
-    "weighted_ce": _weighted_ce_value_and_grad,
+    "weighted_mse": weighted_mse_value_and_grad,
+    "weighted_ce": weighted_ce_value_and_grad,
 }
 
 
@@ -406,7 +576,7 @@ class FusedSGD:
 # ----------------------------------------------------------------------
 # The fused training loop
 # ----------------------------------------------------------------------
-def train_linear_relu_stacks(
+def train_fused_stacks(
     stacks: Sequence[FusedStack],
     inputs: Sequence[np.ndarray],
     labels: np.ndarray,
@@ -422,14 +592,16 @@ def train_linear_relu_stacks(
     seed: int = 0,
     backend=None,
 ) -> List[List[float]]:
-    """Train ``C`` same-shape stacks simultaneously; returns per-head loss curves.
+    """Train ``C`` stacks simultaneously; returns per-head loss curves.
 
     ``inputs[c]`` is head ``c``'s ``(n, in)`` body-output matrix;
     ``labels``/``sample_weights`` are shared across heads (one proxy dataset
-    serves a whole episode batch).  Shuffles come from one generator seeded
-    with ``seed`` — the exact stream the autograd reference draws — so every
-    head sees the reference minibatch order and the trained parameters are
-    bit-identical to ``C`` independent reference runs.
+    serves a whole episode batch).  Heads may mix activations and shapes:
+    they train in lockstep in one :class:`FusedParamBlock`.  Shuffles come
+    from one generator seeded with ``seed`` — the exact stream the autograd
+    reference draws — so every head sees the reference minibatch order and
+    the trained parameters are bit-identical to ``C`` independent reference
+    runs.
 
     ``backend`` (a name or :class:`repro.core.backend.ArrayBackend`) picks
     the GEMM dtype.  Under the default ``numpy-float64`` backend every array
@@ -459,13 +631,15 @@ def train_linear_relu_stacks(
         stacked_inputs.append(matrix)
     if weights.shape != (n,):
         raise ValueError(f"sample_weights must have {n} entries, got {weights.shape}")
-    if stacks[0].shapes[-1][1] != num_classes:
-        raise ValueError(
-            f"stack output width {stacks[0].shapes[-1][1]} != num_classes {num_classes}"
-        )
+    for stack in stacks:
+        if stack.shapes[-1][1] != num_classes:
+            raise ValueError(
+                f"stack output width {stack.shapes[-1][1]} != num_classes {num_classes}"
+            )
 
     block = FusedParamBlock(stacks, dtype=dtype)
-    X = np.stack(stacked_inputs)  # (C, n, in)
+    # one (C_g, n, in_g) input tensor per signature group
+    X = [np.stack([stacked_inputs[i] for i in indices]) for indices in block.members]
     one_hot = backend.one_hot(labels, num_classes)
 
     shape = block.theta.shape
@@ -477,28 +651,19 @@ def train_linear_relu_stacks(
 
     rng = np.random.default_rng(seed)
     num_heads = block.num_candidates
-    layer_weights = block.weights
-    layer_biases = block.biases
-    grad_weights = block.grad_weights
-    grad_biases = block.grad_biases
-    theta, grad = block.theta, block.grad
     curves: List[List[float]] = [[] for _ in range(num_heads)]
     for _ in range(epochs):
         order = rng.permutation(n)
-        x_epoch = X[:, order]
+        x_epoch = [x[:, order] for x in X]
         targets_epoch = one_hot[order]
         weights_epoch = weights[order]
         batch_losses: List[np.ndarray] = []
         for start in range(0, n, batch_size):
             stop = start + batch_size
-            logits, activations, masks = _forward(
-                layer_weights, layer_biases, x_epoch[:, start:stop]
+            losses = block.train_step(
+                opt, [x[:, start:stop] for x in x_epoch], loss_kernel,
+                targets_epoch[start:stop], weights_epoch[start:stop],
             )
-            losses, g_logits = loss_kernel(
-                logits, targets_epoch[start:stop], weights_epoch[start:stop]
-            )
-            _backward(layer_weights, grad_weights, grad_biases, g_logits, activations, masks)
-            opt.step(theta, grad)
             # Loss curves accumulate in float64 whatever the compute dtype
             # (on float64 losses ``astype(copy=False)`` is the identity).
             batch_losses.append(losses.astype(np.float64, copy=False))
@@ -506,7 +671,7 @@ def train_linear_relu_stacks(
         # keeps np.mean's pairwise summation identical to the reference's
         # mean over a per-head python list of the same floats.
         epoch_matrix = np.ascontiguousarray(np.stack(batch_losses, axis=0).T)
-        for head in range(num_heads):
-            curves[head].append(float(np.mean(epoch_matrix[head])))
+        for row, head in enumerate(block.order):
+            curves[head].append(float(np.mean(epoch_matrix[row])))
     block.write_back()
     return curves

@@ -342,6 +342,11 @@ class MLP(Module):
 class SoftmaxClassifier(Module):
     """A linear softmax classifier used as the trainable head of zoo models."""
 
+    #: the forward is exactly ``self.linear(x)``, so the fused-kernel
+    #: eligibility walk (:func:`repro.nn.fused.extract_fused_stack`) may
+    #: unwrap it to that single Linear layer
+    fused_delegate = "linear"
+
     def __init__(
         self,
         in_features: int,

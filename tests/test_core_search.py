@@ -271,25 +271,19 @@ class TestExecutors:
 
 
 def _count_trained_heads(search_module, monkeypatch):
-    """Count heads trained through either entry point of the search.
+    """Count heads trained by the search.
 
-    Eligible batches route through the fused batched trainer
+    Every evaluation routes through the batched trainer
     (``train_heads_batched``); the memoisation contract — never retrain a
-    known ``(candidate, seed)`` — must hold regardless of path.
+    known ``(candidate, seed)`` — must hold whatever chunk a task lands in.
     """
     trained = []
-    original_single = search_module.train_head_on_outputs
     original_batched = search_module.train_heads_batched
-
-    def counting_single(head, *args, **kwargs):
-        trained.append(head)
-        return original_single(head, *args, **kwargs)
 
     def counting_batched(heads, *args, **kwargs):
         trained.extend(heads)
         return original_batched(heads, *args, **kwargs)
 
-    monkeypatch.setattr(search_module, "train_head_on_outputs", counting_single)
     monkeypatch.setattr(search_module, "train_heads_batched", counting_batched)
     return trained
 

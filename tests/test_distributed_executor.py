@@ -33,8 +33,8 @@ def _search(pool, **config_overrides):
         attributes=["age", "site"],
         base_model="MobileNet_V3_Small",
         search_config=SearchConfig(**config),
-        # use_fused=False forces every head through the executor (the fused
-        # ReLU fast path would otherwise train in-process and bypass it).
+        # Every chunk of heads goes through the executor either way; the
+        # autograd oracle keeps each task heavy enough to overlap workers.
         head_config=HeadTrainConfig(epochs=4, seed=0, use_fused=False),
     )
 

@@ -250,7 +250,8 @@ class TestProcessExecutorTransport:
                 max_workers=2,
                 memoize=False,
             ),
-            # the autograd path sends every task through the executor
+            # every chunk of tasks crosses the executor; the autograd
+            # oracle trains them here
             head_config=HeadTrainConfig(epochs=2, seed=0, use_fused=False),
         )
         return search, search.run()
