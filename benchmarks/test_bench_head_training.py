@@ -23,11 +23,6 @@ prints the measured ratio (identity is still asserted), 2-3 cores require
 2x, and a genuinely multi-core runner must show the full 5x (threaded BLAS
 accelerates the stacked GEMMs while the interpreted autograd loop stays
 serial).
-
-A second pass re-runs the fused trainer on the ``numpy-float32`` backend:
-its results must *diverge* from float64 (proving the precision switch is
-live) while staying inside the backend's documented ``TOLERANCES``
-contract (:mod:`repro.core.backend`).
 """
 
 import os
@@ -37,7 +32,6 @@ import numpy as np
 
 from repro.bench import identity_only
 from repro.core import HeadTrainConfig
-from repro.core.backend import assert_backend_close, get_backend
 from repro.core.fusing import MuffinHead
 from repro.core.trainer import train_head_on_outputs, train_heads_batched
 
@@ -135,59 +129,3 @@ def test_bench_head_training_identity_and_speed():
         f"{cpus} CPUs (expected >= 5x)"
     )
 
-
-#: The ``head_weights`` tolerance is calibrated for ~10-epoch training (see
-#: :data:`repro.core.backend.TOLERANCES`): beyond that, minibatch SGD
-#: amplifies float32 rounding chaotically in *weight* space while the loss
-#: curve (the function-space view) stays in contract.
-WEIGHT_CONTRACT_EPOCHS = 10
-
-
-def _train_fused(backend, epochs):
-    outputs, labels, weights = _workload()
-    config = HeadTrainConfig(epochs=epochs, seed=0, use_fused=True, backend=backend)
-    heads = _fresh_heads()
-    start = time.perf_counter()
-    results = train_heads_batched(heads, outputs, labels, weights, NUM_CLASSES, config)
-    return heads, results, time.perf_counter() - start
-
-
-def test_bench_head_training_float32_backend_tolerance():
-    """The mixed-precision backend diverges, but inside its contract."""
-    backend = get_backend("numpy-float32")
-
-    # Full benchmark length: the loss curves must stay in contract.
-    ref_heads, ref_results, ref_seconds = _train_fused("numpy-float64", EPOCHS)
-    f32_heads, f32_results, f32_seconds = _train_fused("numpy-float32", EPOCHS)
-    drifted = False
-    for ref_head, ref_result, f32_head, f32_result in zip(
-        ref_heads, ref_results, f32_heads, f32_results
-    ):
-        assert_backend_close(
-            backend, "loss_curve", np.asarray(f32_result.losses), np.asarray(ref_result.losses)
-        )
-        ref_state, f32_state = ref_head.state_dict(), f32_head.state_dict()
-        drifted = drifted or any(
-            not np.array_equal(f32_state[key], ref_state[key]) for key in ref_state
-        )
-    # Divergence proves float32 GEMMs actually ran (not silently float64).
-    assert drifted, "float32 backend produced bit-identical weights — precision switch dead?"
-
-    # Contract-calibrated length: the trained weights must stay in contract.
-    ref_heads, _, _ = _train_fused("numpy-float64", WEIGHT_CONTRACT_EPOCHS)
-    f32_heads, _, _ = _train_fused("numpy-float32", WEIGHT_CONTRACT_EPOCHS)
-    for ref_head, f32_head in zip(ref_heads, f32_heads):
-        ref_state, f32_state = ref_head.state_dict(), f32_head.state_dict()
-        for key in ref_state:
-            assert_backend_close(
-                backend,
-                "head_weights",
-                f32_state[key].astype(np.float64, copy=False),
-                ref_state[key],
-            )
-
-    print(
-        f"\n[bench] fused batched, {NUM_CANDIDATES} heads x {EPOCHS} epochs: "
-        f"float64 {ref_seconds:.3f}s, float32 {f32_seconds:.3f}s "
-        f"(x{ref_seconds / max(f32_seconds, 1e-9):.2f}); tolerance contract holds"
-    )

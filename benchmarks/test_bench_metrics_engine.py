@@ -15,10 +15,6 @@ multi-attribute workload (the shape of one Muffin search episode batch):
 Setting ``REPRO_BENCH_IDENTITY_ONLY=1`` (the CI smoke step) skips the
 wall-clock assertion while keeping the identity check, so constrained or
 noisy runners still verify correctness.
-
-A second pass re-runs the engine on the ``numpy-float32`` backend.  On
-hard 0/1 predictions its counting GEMMs are exact below 2^24 per partial
-sum, so even the reduced-precision engine must stay bit-identical here.
 """
 
 import os
@@ -134,29 +130,3 @@ def test_bench_metrics_engine_identity_and_speed():
         f"scalar loop ({legacy_seconds:.4f}s)"
     )
 
-
-def test_bench_metrics_engine_float32_backend_identity():
-    """Float32 scoring GEMMs are exact on 0/1 counts — bit-identical output."""
-    dataset = SyntheticISIC2019(num_samples=NUM_SAMPLES, seed=2019)
-    stacked = _candidate_predictions(dataset, NUM_CANDIDATES)
-
-    reference = EvaluationEngine.for_dataset(dataset).evaluate(stacked).evaluations()
-
-    engine32 = EvaluationEngine.for_dataset(dataset, backend="numpy-float32")
-    seconds = float("inf")
-    evaluations = []
-    for _ in range(ROUNDS):
-        start = time.perf_counter()
-        evaluations = engine32.evaluate(stacked).evaluations()
-        seconds = min(seconds, time.perf_counter() - start)
-
-    for expected, got in zip(reference, evaluations):
-        assert got.accuracy == expected.accuracy
-        assert got.unfairness == expected.unfairness
-        assert got.group_accuracy == expected.group_accuracy
-        assert got.gaps == expected.gaps
-
-    print(
-        f"\n[bench] float32 engine, {NUM_CANDIDATES} candidates x "
-        f"{NUM_SAMPLES} samples: {seconds:.4f}s, bit-identical to float64"
-    )

@@ -31,13 +31,13 @@ Subcommand families:
 
 * ``components`` — list every registered component (datasets, controllers,
   rewards, proxy builders, selection strategies, architectures, executors,
-  backends, experiments); ``--check`` also audits registry consistency.
+  experiments); ``--check`` also audits registry consistency.
 
 * ``bench`` — run the hot-path micro-benchmarks (head training, metrics
-  engine) once per array backend and emit machine-readable records::
+  engine) and emit machine-readable records::
 
       python -m repro bench --json bench.json
-      python -m repro bench --backend numpy-float32 --rounds 5
+      python -m repro bench --bench metrics_engine --rounds 5
 
 * ``trace`` — render a span trace file (written when a spec sets
   ``obs.trace_path``) as a tree with total/self times::
@@ -116,20 +116,6 @@ def _run_command(argv: Sequence[str]) -> int:
         help="disable the (candidate, seed) evaluation memo",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="override the spec's array backend for the fused hot paths "
-        "('numpy-float64' is bit-identical; 'numpy-float32' runs float32 "
-        "GEMMs under the documented tolerance contract)",
-    )
-    parser.add_argument(
-        "--dtype",
-        default=None,
-        choices=("float64", "float32"),
-        help="shorthand for --backend numpy-<dtype>",
-    )
-    parser.add_argument(
         "--no-fused",
         action="store_true",
         help="train muffin heads and pool models on the autograd oracle instead "
@@ -163,13 +149,6 @@ def _run_command(argv: Sequence[str]) -> int:
             # The execution section never enters stage hashes, so overriding
             # it keeps every cached artifact valid.
             spec.execution = dataclasses.replace(spec.execution, **overrides)
-        if args.backend is not None and args.dtype is not None:
-            raise SpecError("pass --backend or --dtype, not both")
-        backend_name = args.backend or (f"numpy-{args.dtype}" if args.dtype else None)
-        if backend_name is not None:
-            # Like execution, the backend section is hash-excluded, so a
-            # precision override also keeps every cached artifact valid.
-            spec.backend = dataclasses.replace(spec.backend, name=backend_name)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -220,7 +199,6 @@ def _run_command(argv: Sequence[str]) -> int:
             suffix = " [from cached search artifact]" if search_cached else ""
             print(
                 f"search executor: {stats.executor} (workers={stats.max_workers}), "
-                f"backend {stats.backend}, "
                 f"memo {stats.memo_hits} hits / {stats.memo_misses} misses, "
                 f"metrics {stats.metrics_seconds:.3f}s, "
                 f"training {stats.train_seconds:.3f}s{suffix}"
@@ -363,13 +341,6 @@ def _serve_command(argv: Sequence[str]) -> int:
         help="labelled samples between fairness log lines (0 disables; default: 100)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="array backend for the feature batch ('numpy-float64' default; "
-        "'numpy-float32' serves under the tolerance contract)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=1,
@@ -416,7 +387,6 @@ def _serve_command(argv: Sequence[str]) -> int:
             queue_depth=args.queue_depth,
             default_deadline_ms=args.deadline_ms,
             fault_plan=args.fault_plan,
-            **({"backend": args.backend} if args.backend else {}),
         )
         server = InferenceServer(fused, config, verbose=not args.quiet)
     except (OSError, ValueError, KeyError) as exc:

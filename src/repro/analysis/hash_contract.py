@@ -36,14 +36,11 @@ SPEC_MODULE_REL = "src/repro/api/spec.py"
 _VALID_STATUSES = ("hashed", "excluded")
 
 #: spec sections popped wholesale from ``spec_hash`` — every field of these
-#: must be 'excluded', every field elsewhere must be 'hashed'.  ``backend``
-#: joined ``execution`` when the precision seam landed: which dtype the
-#: GEMMs run in is a performance knob with a tolerance contract, not a
-#: semantic change, so it must not invalidate cached artifacts.  ``obs``
-#: joined with the telemetry layer: spans and metrics observe the
-#: computation without shaping it (bit-identity is test-enforced), so
+#: must be 'excluded', every field elsewhere must be 'hashed'.  ``obs``
+#: joined ``execution`` with the telemetry layer: spans and metrics observe
+#: the computation without shaping it (bit-identity is test-enforced), so
 #: turning tracing on must not invalidate caches either.
-EXCLUDED_SECTIONS = ("execution", "backend", "obs")
+EXCLUDED_SECTIONS = ("execution", "obs")
 
 
 def _manifest_line(project: Project, needle: str) -> int:
@@ -170,8 +167,8 @@ class HashContractRule(ProjectRule):
                             f'"{field_name}"',
                             f"'{section}.{field_name}' is marked 'excluded' but "
                             f"every '{section}' field enters the stage hashes",
-                            "execution-only knobs belong in ExecutionSpec (or "
-                            "BackendSpec); anything else must be hashed",
+                            "execution-only knobs belong in ExecutionSpec; "
+                            "anything else must be hashed",
                         )
                     )
 
@@ -192,12 +189,6 @@ class HashContractRule(ProjectRule):
                     executor="thread" if base.execution.executor != "thread" else "serial",
                     memoize=not base.execution.memoize,
                 ),
-                backend=dataclasses.replace(
-                    base.backend,
-                    name="numpy-float32"
-                    if base.backend.name != "numpy-float32"
-                    else "numpy-float64",
-                ),
                 obs=dataclasses.replace(
                     base.obs,
                     trace_path="trace.jsonl",
@@ -215,10 +206,10 @@ class HashContractRule(ProjectRule):
                 return self._finding(
                     project,
                     "def spec_hash",
-                    "editing only execution/backend/obs fields changed a "
+                    "editing only execution/obs fields changed a "
                     "spec/stage hash — the manifest says those sections are "
                     "excluded but the implementation hashes them",
-                    "keep the execution, backend and obs sections popped from "
+                    "keep the execution and obs sections popped from "
                     "every hash payload",
                 )
             if (

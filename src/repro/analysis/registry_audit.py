@@ -181,7 +181,6 @@ def spec_component_references(spec) -> List[ComponentRef]:
         check("architectures", "finalize.reference_model", spec.finalize.reference_model)
     )
     refs.append(check("executors", "execution.executor", spec.execution.executor))
-    refs.append(check("backends", "backend.name", spec.backend.name))
     return [ref for ref in refs if ref is not None]
 
 

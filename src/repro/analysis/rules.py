@@ -20,11 +20,12 @@ interpreter cannot enforce:
   ``write_lock``) are exempt — serialising writes on one socket is exactly
   what such a lock is for.
 * **RL7 dtype discipline** — the precision-critical hot modules (the fused
-  kernels, the metrics engine, the backend layer itself) promise their
-  results per array backend: float64 bit-identity or the float32 tolerance
-  contract.  ``np.asarray``/``np.zeros``/``np.empty`` without an explicit
-  ``dtype`` inherits whatever dtype the caller happened to pass and
-  silently drifts a hot path out of its contract.
+  kernels and the metrics engine) promise float64 results bit-identical to
+  their oracles (the autograd tape, the scalar metric loop).
+  ``np.asarray``/``np.zeros``/``np.empty`` without an explicit ``dtype``
+  inherits whatever dtype the caller happened to pass — an int or float32
+  input then silently runs the kernel in another precision and breaks
+  that bit-identity.
 * **RL8 telemetry discipline** — every duration in the tree comes off the
   monotonic clock (``time.perf_counter``); ``time.time()`` is wall-clock,
   steps under NTP, and is reserved for row *timestamps*.  And the
@@ -543,27 +544,25 @@ class DtypeDisciplineRule(FileRule):
     name = "dtype-discipline"
     description = (
         "np.asarray/np.zeros/np.empty in the precision-critical hot modules "
-        "(fused kernels, metrics engine, backend layer) must pin an explicit "
-        "dtype= so results stay inside the per-backend precision contract"
+        "(fused kernels, metrics engine) must pin an explicit dtype= so "
+        "results stay float64 and bit-identical to their oracles"
     )
 
-    #: modules whose numeric results are promised per array backend —
-    #: float64 bit-identity or the float32 tolerance contract
+    #: modules whose float64 results are promised bit-identical to an oracle
     HOT_MODULES = (
         "src/repro/nn/fused.py",
         "src/repro/fairness/engine.py",
-        "src/repro/core/backend.py",
     )
 
     #: dtype-inheriting factories: the result dtype silently follows the
-    #: input (asarray) or defaults to float64 regardless of backend
+    #: input (asarray) or is left implicit (zeros/empty)
     _FACTORIES = {"numpy.asarray", "numpy.zeros", "numpy.empty"}
 
     _HINT = (
-        "pass dtype= explicitly (backend.compute_dtype for hot-path compute, "
-        "np.float64 for accumulators), or route through the ArrayBackend "
-        "helpers; add '# repro-lint: disable=RL7' with a reason if the dtype "
-        "is genuinely dynamic"
+        "pass dtype= explicitly (np.float64 for kernel operands and "
+        "accumulators, np.int64 for labels and indices); add "
+        "'# repro-lint: disable=RL7' with a reason if the dtype is genuinely "
+        "dynamic"
     )
 
     def check_file(self, source: SourceFile, project: Project) -> Iterable[Finding]:
@@ -588,8 +587,8 @@ class DtypeDisciplineRule(FileRule):
                     source, node, self.code,
                     f"np.{tail}() without an explicit dtype in a "
                     "precision-critical hot module; the result dtype follows "
-                    "the input and can drift the path out of its backend "
-                    "precision contract",
+                    "the input and can drift the path out of float64 "
+                    "bit-identity",
                     self._HINT,
                 )
             )

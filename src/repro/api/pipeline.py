@@ -267,7 +267,12 @@ class MuffinPipeline:
         ):
             with span("pipeline/run", run=self.spec.name, spec_hash=self.spec.spec_hash()):
                 for index, stage in enumerate(self.STAGES):
-                    self._execute(stage, use_cache=resume and index < force_from)
+                    if self._execute(stage, use_cache=resume and index < force_from):
+                        # A cached later stage was built on the artifact this
+                        # stage just replaced (a cached finalize names an
+                        # episode of the old search), so nothing after it
+                        # may resume either.
+                        force_from = min(force_from, index + 1)
         artifact = self._artifacts.get("export")
         artifact_path = None
         if artifact is not None and self.cache_dir is not None:
@@ -303,12 +308,13 @@ class MuffinPipeline:
     # ------------------------------------------------------------------
     # Stage driver
     # ------------------------------------------------------------------
-    def _execute(self, stage: str, use_cache: bool) -> None:
+    def _execute(self, stage: str, use_cache: bool) -> bool:
+        """Run or resume one stage; True when it recomputed a cacheable artifact."""
         stage_hash = self.spec.stage_hash(stage)
         with span(f"pipeline/stage/{stage}", hash=stage_hash):
-            self._execute_timed(stage, stage_hash, use_cache)
+            return self._execute_timed(stage, stage_hash, use_cache)
 
-    def _execute_timed(self, stage: str, stage_hash: str, use_cache: bool) -> None:
+    def _execute_timed(self, stage: str, stage_hash: str, use_cache: bool) -> bool:
         start = time.perf_counter()
         status, detail = "ran", ""
         loader = getattr(self, f"_load_{stage}", None)
@@ -336,7 +342,7 @@ class MuffinPipeline:
                 stats = getattr(self._artifacts["search"], "execution_stats", None)
                 if stats is not None:
                     memo = (
-                        f"executor={stats.executor} backend={stats.backend} "
+                        f"executor={stats.executor} "
                         f"memo={stats.memo_hits}h/{stats.memo_misses}m"
                     )
                     if stats.task_bytes_shipped and stats.task_bytes_raw:
@@ -375,8 +381,7 @@ class MuffinPipeline:
                         hash=stage_hash,
                         detail="muffin-head training inside the search stage: "
                         "chunks of fused-kernel tasks mapped through the executor "
-                        "(the autograd oracle when use_fused is disabled; "
-                        f"backend={stats.backend})",
+                        "(the autograd oracle when use_fused is disabled)",
                     )
                 )
         self._manifest[stage] = {
@@ -385,6 +390,7 @@ class MuffinPipeline:
             "artifact": detail,
         }
         self._save_manifest()
+        return status == "ran" and loader is not None and self._artifacts[stage] is not None
 
     # ------------------------------------------------------------------
     # Stage builders
@@ -423,7 +429,7 @@ class MuffinPipeline:
                 num_paired=spec.num_paired,
                 search_config=spec.search_config(self.spec.execution),
                 reward_config=spec.reward_config(),
-                head_config=spec.head_config(self.spec.execution, self.spec.backend),
+                head_config=spec.head_config(self.spec.execution),
                 reward_builder=spec.reward,
                 body_cache=self.body_cache,
             )
@@ -555,7 +561,13 @@ class MuffinPipeline:
         path = self._require_cache() / self._artifact_name("search", stage_hash)
         if not path.exists():
             raise FileNotFoundError(path)
-        return MuffinSearchResult.from_dict(load_json(path))
+        payload = load_json(path)
+        # Searches cached before the float32 backend was removed share this
+        # stage hash but not its results; only float64 ones may resume.
+        backend = (payload.get("execution_stats") or {}).get("backend")
+        if backend is not None and backend != "numpy-float64":
+            raise ValueError(f"cached search ran on the removed '{backend}' backend")
+        return MuffinSearchResult.from_dict(payload)
 
     def _load_finalize(self, stage_hash: str) -> MuffinNet:
         path = self._require_cache() / self._artifact_name("finalize", stage_hash)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..core.backend import BACKENDS
 from ..core.controller import CONTROLLERS
 from ..core.execution import EXECUTORS
 from ..core.proxy import PROXY_BUILDERS
@@ -37,7 +36,6 @@ _CORE_REGISTRIES: Dict[str, Registry] = {
     "rewards": REWARDS,
     "selection_strategies": SELECTION_STRATEGIES,
     "executors": EXECUTORS,
-    "backends": BACKENDS,
 }
 
 
@@ -63,7 +61,6 @@ __all__ = [
     "DATASETS",
     "ARCHITECTURES",
     "ARCHITECTURE_REGISTRY",
-    "BACKENDS",
     "CONTROLLERS",
     "EXECUTORS",
     "PROXY_BUILDERS",

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..core import EXECUTORS, HeadTrainConfig, RewardConfig, SearchConfig
-from ..core.backend import BACKENDS, DEFAULT_BACKEND
 from ..data.splits import PAPER_SPLIT
 from ..zoo import TrainConfig
 
@@ -154,16 +153,11 @@ class SearchSpec:
             **kwargs,
         )
 
-    def head_config(
-        self,
-        execution: Optional["ExecutionSpec"] = None,
-        backend: Optional["BackendSpec"] = None,
-    ) -> HeadTrainConfig:
+    def head_config(self, execution: Optional["ExecutionSpec"] = None) -> HeadTrainConfig:
         return HeadTrainConfig(
             epochs=self.head_epochs,
             batch_size=self.head_batch_size,
             use_fused=execution.use_fused if execution is not None else True,
-            backend=backend.name if backend is not None else DEFAULT_BACKEND,
         )
 
     def reward_config(self) -> RewardConfig:
@@ -222,34 +216,6 @@ class ExecutionSpec:
 
 
 @dataclass
-class BackendSpec:
-    """Which array backend the hot paths (fused kernels, metrics engine) use.
-
-    The default ``numpy-float64`` backend is bit-identical to the autograd
-    oracle; ``numpy-float32`` trades bit-identity for float32 GEMMs under
-    the tolerance contract of :data:`repro.core.backend.TOLERANCES`.  Like
-    ``execution``, this section is a precision/performance knob rather than
-    a semantic one, so it is excluded from every stage hash: a float32 rerun
-    reuses the float64 run's cached pool and dataset artifacts.
-    """
-
-    #: registered backend name (:data:`repro.core.backend.BACKENDS`) or one
-    #: of its aliases ('float64'/'fp64', 'float32'/'fp32', ...)
-    name: str = DEFAULT_BACKEND
-
-    def __post_init__(self) -> None:
-        if self.name not in BACKENDS:
-            suggestions = BACKENDS.suggest(self.name)
-            hint = f" (did you mean {suggestions[0]!r}?)" if suggestions else ""
-            raise SpecError(
-                f"backend.name must be one of {BACKENDS.names()}, got "
-                f"'{self.name}'{hint}"
-            )
-        # Canonicalise aliases so specs hash and report consistently.
-        self.name = BACKENDS.canonical_name(self.name)
-
-
-@dataclass
 class ObsSpec:
     """Telemetry for the run: tracing sink and the metrics registry switch.
 
@@ -257,8 +223,8 @@ class ObsSpec:
     are recorded around the computation on monotonic clocks and touch no
     RNG state, so a run with telemetry on is bit-identical to the same run
     with it off (the test suite asserts this on ``result_hash()``).  Like
-    ``execution`` and ``backend``, the section is therefore excluded from
-    every stage hash — turning tracing on reuses all cached artifacts.
+    ``execution``, the section is therefore excluded from every stage
+    hash — turning tracing on reuses all cached artifacts.
     """
 
     #: JSONL file the pipeline appends hierarchical spans to
@@ -321,7 +287,6 @@ _SECTION_TYPES = {
     "pool": PoolSpec,
     "search": SearchSpec,
     "execution": ExecutionSpec,
-    "backend": BackendSpec,
     "obs": ObsSpec,
     "finalize": FinalizeSpec,
     "export": ExportSpec,
@@ -338,7 +303,6 @@ class RunSpec:
     pool: PoolSpec = field(default_factory=PoolSpec)
     search: SearchSpec = field(default_factory=SearchSpec)
     execution: ExecutionSpec = field(default_factory=ExecutionSpec)
-    backend: BackendSpec = field(default_factory=BackendSpec)
     obs: ObsSpec = field(default_factory=ObsSpec)
     finalize: FinalizeSpec = field(default_factory=FinalizeSpec)
     export: ExportSpec = field(default_factory=ExportSpec)
@@ -366,6 +330,9 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "RunSpec":
+        if "backend" in payload:
+            _check_legacy_backend(payload["backend"])
+            payload = {key: value for key, value in payload.items() if key != "backend"}
         unknown = set(payload) - ({"name"} | set(_SECTION_TYPES))
         if unknown:
             raise SpecError(
@@ -411,17 +378,12 @@ class RunSpec:
 
         The ``execution`` section only changes *how fast* a run computes,
         never what it computes, so it is excluded — two specs differing only
-        in executor share one default cache directory.  The ``backend``
-        section is excluded for the same reason: precision is an
-        execution-style knob with a documented tolerance contract, not a
-        semantic change, so a float32 rerun reuses the float64 caches.
-        The ``obs`` section is pure observation — spans and metrics around
-        the computation, bit-identical results either way — so it is
-        excluded too.
+        in executor share one default cache directory.  The ``obs`` section
+        is pure observation — spans and metrics around the computation,
+        bit-identical results either way — so it is excluded too.
         """
         payload = self.to_dict()
         payload.pop("execution", None)
-        payload.pop("backend", None)
         payload.pop("obs", None)
         return _hash_payload(payload)
 
@@ -499,9 +461,6 @@ HASH_MANIFEST: Dict[str, Dict[str, str]] = {
         "task_retries": "excluded",
         "heartbeat_seconds": "excluded",
     },
-    "backend": {
-        "name": "excluded",
-    },
     "obs": {
         "trace_path": "excluded",
         "metrics_enabled": "excluded",
@@ -522,6 +481,23 @@ HASH_MANIFEST: Dict[str, Dict[str, str]] = {
         "top_k": "hashed",
     },
 }
+
+
+#: Names the removed ``backend`` section accepted for float64 (the only
+#: precision left), so specs written while the section existed still load.
+_LEGACY_FLOAT64_NAMES = ("numpy-float64", "float64", "fp64", "f64")
+
+
+def _check_legacy_backend(section: object) -> None:
+    """Accept a legacy ``backend`` section only when it names float64."""
+    if not isinstance(section, Mapping) or set(section) - {"name"}:
+        raise SpecError(f"unsupported legacy 'backend' section {section!r}")
+    name = section.get("name", "numpy-float64")
+    if name not in _LEGACY_FLOAT64_NAMES:
+        raise SpecError(
+            f"backend '{name}' is not available: the float32 backend was removed "
+            "and every run computes in float64; drop the 'backend' section"
+        )
 
 
 def _section_from_dict(section: str, payload: object):

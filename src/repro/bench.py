@@ -3,19 +3,18 @@
 The repository's load-bearing performance claims live in ``benchmarks/`` as
 pytest modules with hardware-tiered wall-clock assertions.  This module is
 the *reporting* entry point on top of the same hot paths: it runs compact
-versions of the head-training and metrics-engine workloads once per array
-backend and emits stable, machine-readable records —
+versions of the head-training and metrics-engine workloads and emits
+stable, machine-readable records —
 
     python -m repro bench --json bench.json
-    python -m repro bench --backend numpy-float32 --rounds 5
+    python -m repro bench --bench metrics_engine --rounds 5
 
-Each record carries the benchmark name, the backend, the fast-path and
-baseline wall times, the speedup, and a **verdict**: the float64 identity
-backend must reproduce the oracle bit for bit (``verdict="identity"``),
-mixed-precision backends must satisfy the per-quantity tolerance contract
-(``verdict="tolerance"``; see :data:`repro.core.backend.TOLERANCES`).  A
-contract violation yields ``verdict="fail"`` and a non-zero exit code — the
-speedup of a wrong answer is not reported as a win.
+Each record carries the benchmark name, the fast-path and baseline wall
+times, the speedup, and a **verdict**: the fast path must reproduce its
+oracle bit for bit (``verdict="identity"``); any difference yields
+``verdict="fail"`` and a non-zero exit code — the speedup of a wrong answer
+is not reported as a win.  Records keep the schema-v1 ``backend`` field,
+fixed at ``"numpy-float64"``, the one precision every hot path runs in.
 
 :func:`identity_only` is the single switch the benchmark suite consults to
 skip wall-clock assertions on constrained runners: set
@@ -38,8 +37,8 @@ import numpy as np
 from .obs import TraceWriter, load_spans, span
 from .obs import trace as _trace
 
-#: the one switch: identity/tolerance checks always run, wall-clock
-#: assertions are skipped when it is set
+#: the one switch: identity checks always run, wall-clock assertions are
+#: skipped when it is set
 IDENTITY_ONLY_VAR = "REPRO_BENCH_IDENTITY_ONLY"
 
 
@@ -50,15 +49,14 @@ def identity_only() -> bool:
 
 @dataclass
 class BenchRecord:
-    """One benchmark x backend measurement, stable across releases."""
+    """One benchmark measurement, stable across releases."""
 
     benchmark: str
-    backend: str
     wall_time_s: float
     baseline_s: float
     speedup: float
-    #: "identity" (bit-identical to the oracle), "tolerance" (within the
-    #: documented contract) or "fail" (contract violated; see ``detail``)
+    #: "identity" (bit-identical to the oracle) or "fail" (it differs; see
+    #: ``detail``)
     verdict: str
     detail: str = ""
     #: schema v2: per-phase wall times measured by the obs span layer
@@ -69,7 +67,7 @@ class BenchRecord:
     def to_dict(self) -> Dict[str, object]:
         return {
             "benchmark": self.benchmark,
-            "backend": self.backend,
+            "backend": "numpy-float64",
             "wall_time_s": round(self.wall_time_s, 6),
             "baseline_s": round(self.baseline_s, 6),
             "speedup": round(self.speedup, 3),
@@ -79,25 +77,33 @@ class BenchRecord:
         }
 
 
-def _verdict(backend, checks) -> "tuple":
-    """Run ``checks`` (callables raising AssertionError) under the contract."""
-    from .core.backend import get_backend
+def _assert_identical(quantity: str, actual, desired) -> None:
+    """Assert ``actual`` equals the oracle's ``desired`` bit for bit (NaNs equal)."""
+    actual = np.asarray(actual, dtype=np.float64)
+    desired = np.asarray(desired, dtype=np.float64)
+    if not np.array_equal(actual, desired, equal_nan=True):
+        worst = float(np.nanmax(np.abs(actual - desired))) if actual.size else 0.0
+        raise AssertionError(
+            f"fast path produced non-identical '{quantity}' "
+            f"(max abs deviation {worst:.3e})"
+        )
 
-    resolved = get_backend(backend)
+
+def _verdict(checks) -> "tuple":
+    """Run ``checks`` (callables raising AssertionError) against the oracle."""
     try:
         for check in checks:
             check()
     except AssertionError as exc:
         return "fail", str(exc)
-    return ("identity" if resolved.is_identity else "tolerance"), ""
+    return "identity", ""
 
 
 # ----------------------------------------------------------------------
 # Benchmark: fused batched head training vs the autograd oracle
 # ----------------------------------------------------------------------
-def bench_head_training(backend: str, rounds: int) -> BenchRecord:
-    """Fused batched trainer under ``backend`` vs the float64 autograd loop."""
-    from .core.backend import assert_backend_close
+def bench_head_training(rounds: int) -> BenchRecord:
+    """Fused batched trainer vs the autograd loop."""
     from .core.fusing import MuffinHead
     from .core.trainer import HeadTrainConfig, train_head_on_outputs, train_heads_batched
 
@@ -114,7 +120,7 @@ def bench_head_training(backend: str, rounds: int) -> BenchRecord:
         ]
 
     oracle_config = HeadTrainConfig(epochs=epochs, seed=0, use_fused=False)
-    fused_config = HeadTrainConfig(epochs=epochs, seed=0, use_fused=True, backend=backend)
+    fused_config = HeadTrainConfig(epochs=epochs, seed=0, use_fused=True)
 
     baseline_s = float("inf")
     oracle_heads, oracle_results = [], []
@@ -143,20 +149,19 @@ def bench_head_training(backend: str, rounds: int) -> BenchRecord:
         for oracle_head, oracle_result, fused_head, fused_result in zip(
             oracle_heads, oracle_results, fused_heads, fused_results
         ):
-            yield lambda a=oracle_result.losses, b=fused_result.losses: assert_backend_close(
-                backend, "loss_curve", b, a
+            yield lambda a=oracle_result.losses, b=fused_result.losses: _assert_identical(
+                "loss_curve", b, a
             )
             oracle_state, fused_state = oracle_head.state_dict(), fused_head.state_dict()
             for key in oracle_state:
-                yield lambda a=oracle_state[key], b=fused_state[key]: assert_backend_close(
-                    backend, "head_weights", b, a
+                yield lambda a=oracle_state[key], b=fused_state[key]: _assert_identical(
+                    "head_weights", b, a
                 )
 
     with span("bench/phase/verify"):
-        verdict, detail = _verdict(backend, checks())
+        verdict, detail = _verdict(checks())
     return BenchRecord(
         benchmark="head_training",
-        backend=backend,
         wall_time_s=fused_s,
         baseline_s=baseline_s,
         speedup=baseline_s / max(fused_s, 1e-9),
@@ -168,9 +173,8 @@ def bench_head_training(backend: str, rounds: int) -> BenchRecord:
 # ----------------------------------------------------------------------
 # Benchmark: vectorized metrics engine vs the scalar seed loop
 # ----------------------------------------------------------------------
-def bench_metrics_engine(backend: str, rounds: int) -> BenchRecord:
-    """Batched :class:`EvaluationEngine` under ``backend`` vs the scalar loop."""
-    from .core.backend import assert_backend_close
+def bench_metrics_engine(rounds: int) -> BenchRecord:
+    """Batched :class:`EvaluationEngine` vs the scalar loop."""
     from .data import SyntheticISIC2019
     from .fairness import EvaluationEngine
 
@@ -185,7 +189,7 @@ def bench_metrics_engine(backend: str, rounds: int) -> BenchRecord:
         noise = rng.integers(0, dataset.num_classes, num_samples)
         stacked[i] = np.where(flip, noise, labels)
 
-    engine = EvaluationEngine.for_dataset(dataset, backend=backend)
+    engine = EvaluationEngine.for_dataset(dataset)
 
     def scalar_loop():
         evaluations = []
@@ -226,22 +230,19 @@ def bench_metrics_engine(backend: str, rounds: int) -> BenchRecord:
             engine_s = min(engine_s, time.perf_counter() - start)
 
     oracle_accuracy = np.array([accuracy for accuracy, _ in oracle])
-    checks = [
-        lambda: assert_backend_close(backend, "metrics", batch.accuracy, oracle_accuracy)
-    ]
+    checks = [lambda: _assert_identical("accuracy", batch.accuracy, oracle_accuracy)]
     for name in dataset.attributes.names:
         oracle_unfairness = np.array([unfairness[name] for _, unfairness in oracle])
         checks.append(
-            lambda n=name, o=oracle_unfairness: assert_backend_close(
-                backend, "metrics", batch.unfairness[n], o
+            lambda n=name, o=oracle_unfairness: _assert_identical(
+                f"unfairness[{n}]", batch.unfairness[n], o
             )
         )
 
     with span("bench/phase/verify"):
-        verdict, detail = _verdict(backend, checks)
+        verdict, detail = _verdict(checks)
     return BenchRecord(
         benchmark="metrics_engine",
-        backend=backend,
         wall_time_s=engine_s,
         baseline_s=baseline_s,
         speedup=baseline_s / max(engine_s, 1e-9),
@@ -257,15 +258,10 @@ BENCHMARKS = {
 
 
 def run_benchmarks(
-    backends: Optional[Sequence[str]] = None,
     benchmarks: Optional[Sequence[str]] = None,
     rounds: Optional[int] = None,
 ) -> List[BenchRecord]:
-    """All requested benchmark x backend records (default: every registered backend)."""
-    from .core.backend import BACKENDS
-
-    if backends is None:
-        backends = BACKENDS.names()
+    """One record per requested benchmark (default: all)."""
     if benchmarks is None:
         benchmarks = list(BENCHMARKS)
     if rounds is None:
@@ -276,12 +272,11 @@ def run_benchmarks(
             raise KeyError(
                 f"unknown benchmark '{name}'; available: {sorted(BENCHMARKS)}"
             )
-        for backend in backends:
-            records.append(_run_traced(name, backend, rounds))
+        records.append(_run_traced(name, rounds))
     return records
 
 
-def _run_traced(name: str, backend: str, rounds: int) -> BenchRecord:
+def _run_traced(name: str, rounds: int) -> BenchRecord:
     """Run one benchmark under a span capture and attach phase wall times.
 
     Each benchmark wraps its baseline / fast-path / verify sections in
@@ -294,8 +289,8 @@ def _run_traced(name: str, backend: str, rounds: int) -> BenchRecord:
     writer = TraceWriter(buffer)
     _trace.install(writer)
     try:
-        with span(f"bench/{name}", backend=backend, rounds=rounds):
-            record = BENCHMARKS[name](backend, rounds)
+        with span(f"bench/{name}", rounds=rounds):
+            record = BENCHMARKS[name](rounds)
     finally:
         if previous is not None:
             _trace.install(previous)
@@ -319,21 +314,14 @@ def _run_traced(name: str, backend: str, rounds: int) -> BenchRecord:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
-        description="Run the hot-path micro-benchmarks per array backend and "
-        "emit machine-readable records",
+        description="Run the hot-path micro-benchmarks and emit "
+        "machine-readable records",
     )
     parser.add_argument(
         "--json",
         metavar="PATH",
         default=None,
         help="write records as a JSON document ('-' for stdout)",
-    )
-    parser.add_argument(
-        "--backend",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="backend(s) to benchmark (repeatable; default: all registered)",
     )
     parser.add_argument(
         "--bench",
@@ -354,9 +342,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
 
     try:
-        records = run_benchmarks(
-            backends=args.backend, benchmarks=args.bench, rounds=args.rounds
-        )
+        records = run_benchmarks(benchmarks=args.bench, rounds=args.rounds)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -366,7 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     progress = sys.stderr if args.json == "-" else sys.stdout
     for record in records:
         line = (
-            f"[bench] {record.benchmark} backend={record.backend}: "
+            f"[bench] {record.benchmark}: "
             f"{record.wall_time_s:.4f}s vs baseline {record.baseline_s:.4f}s "
             f"(x{record.speedup:.1f}), verdict={record.verdict}"
         )
@@ -392,8 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"wrote {len(records)} records to {args.json}")
     if failed:
         print(
-            f"error: {len(failed)} benchmark(s) violated their precision "
-            "contract",
+            f"error: {len(failed)} benchmark(s) differ from their oracle",
             file=sys.stderr,
         )
         return 1

@@ -52,14 +52,12 @@ class ExecutionStats:
     #: ``eval_seconds``): the search's per-batch fairness scoring
     metrics_seconds: float = 0.0
     #: wall-clock of the candidate-evaluation work (a subset of
-    #: ``eval_seconds``): head training — fused batched kernels, or the
-    #: executor-mapped autograd loop — plus each candidate's evaluation
+    #: ``eval_seconds``): the executor-mapped chunks of heads trained in
+    #: lockstep on the fused kernels (or on the autograd oracle under
+    #: ``use_fused=False``), plus each candidate's evaluation
     #: forward/arbitration and, for parallel executors, the lazy worker-pool
     #: spin-up on the first batch
     train_seconds: float = 0.0
-    #: array backend the run's fused kernels and metrics engine used
-    #: (``repro.core.backend``); 'numpy-float64' is the bit-identical default
-    backend: str = "numpy-float64"
     #: task-payload bytes a process-crossing executor *would* have pickled
     #: (every task array at full ndarray size)
     task_bytes_raw: int = 0
@@ -80,7 +78,6 @@ class ExecutionStats:
             "eval_seconds": round(float(self.eval_seconds), 4),
             "metrics_seconds": round(float(self.metrics_seconds), 4),
             "train_seconds": round(float(self.train_seconds), 4),
-            "backend": self.backend,
             "task_bytes_raw": self.task_bytes_raw,
             "task_bytes_shipped": self.task_bytes_shipped,
         }
@@ -98,7 +95,6 @@ class ExecutionStats:
             eval_seconds=float(payload.get("eval_seconds", 0.0)),
             metrics_seconds=float(payload.get("metrics_seconds", 0.0)),
             train_seconds=float(payload.get("train_seconds", 0.0)),
-            backend=str(payload.get("backend", "numpy-float64")),
             task_bytes_raw=int(payload.get("task_bytes_raw", 0)),
             task_bytes_shipped=int(payload.get("task_bytes_shipped", 0)),
         )

@@ -136,8 +136,8 @@ class SearchConfig:
     seed: int = 0
     verbose: bool = False
     #: registered executor dispatching each batch's candidate evaluations
-    #: ('serial', 'thread' or 'process'); results are seed-identical across
-    #: executors, only wall-clock differs
+    #: ('serial', 'thread', 'process' or 'distributed'); results are
+    #: seed-identical across executors, only wall-clock differs
     executor: str = "serial"
     #: worker count for the parallel executors (None = one per CPU core)
     max_workers: Optional[int] = None
@@ -650,11 +650,7 @@ class MuffinSearch:
         self._cache = body_cache if body_cache is not None else BodyOutputCache(pool)
         # One vectorized engine scores every candidate of an episode batch
         # on every attribute in a single call (group matrices precomputed).
-        # The engine shares the head config's array backend so the whole hot
-        # path (training GEMMs and scoring GEMMs) runs one precision choice.
-        self._eval_engine = EvaluationEngine.for_dataset(
-            self.eval_dataset, self.attributes, backend=self.head_config.backend
-        )
+        self._eval_engine = EvaluationEngine.for_dataset(self.eval_dataset, self.attributes)
         # Proxy labels/weights are assembled once: every task of the search
         # shares these exact arrays, which also gives the shared-memory
         # transport (keyed on array identity) one stable segment per array.
@@ -1089,7 +1085,6 @@ class MuffinSearch:
             eval_seconds=time.perf_counter() - start_time,
             metrics_seconds=self.metrics_seconds - metrics_seconds_before,
             train_seconds=self.train_seconds - train_seconds_before,
-            backend=self.head_config.backend,
             task_bytes_raw=self.task_bytes_raw - bytes_raw_before,
             task_bytes_shipped=self.task_bytes_shipped - bytes_shipped_before,
         )

@@ -29,7 +29,6 @@ import numpy as np
 from .. import nn
 from ..nn.fused import extract_fused_stack, train_fused_stacks
 from ..utils.rng import get_rng
-from .backend import DEFAULT_BACKEND, get_backend
 from .fusing import FusedModel
 from .proxy import ProxyDataset
 
@@ -51,12 +50,6 @@ class HeadTrainConfig:
     #: kernels of :mod:`repro.nn.fused`.  Results are bit-identical to the
     #: autograd path; ``False`` forces the closure-based oracle loop.
     use_fused: bool = True
-    #: array backend the fused kernels run on (``repro.core.backend.BACKENDS``
-    #: name).  The default is bit-identical to the autograd oracle; the
-    #: ``numpy-float32`` backend trades bit-identity for float32 GEMMs under
-    #: the documented tolerance contract.  The autograd fallback path always
-    #: stays the float64 oracle regardless of this setting.
-    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -69,9 +62,6 @@ class HeadTrainConfig:
             raise ValueError("loss must be 'weighted_mse' or 'weighted_ce'")
         if self.optimizer not in {"adam", "sgd"}:
             raise ValueError("optimizer must be 'adam' or 'sgd'")
-        # Resolve aliases eagerly so an unknown backend fails at config time
-        # (with did-you-mean suggestions), not mid-search.
-        self.backend = get_backend(self.backend).name
 
 
 @dataclass
@@ -188,7 +178,6 @@ def train_head_on_outputs(
                 optimizer=config.optimizer,
                 loss=config.loss,
                 seed=config.seed,
-                backend=config.backend,
             )
             result = HeadTrainResult(
                 losses=curves[0], proxy_size=labels.shape[0], epochs=config.epochs, path="fused"
@@ -266,7 +255,6 @@ def train_heads_batched(
             optimizer=config.optimizer,
             loss=config.loss,
             seed=config.seed,
-            backend=config.backend,
         )
         for index, curve in zip(fused_indices, curves):
             results[index] = HeadTrainResult(

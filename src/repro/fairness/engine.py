@@ -39,16 +39,7 @@ from ..data.groups import GroupIndexBank
 from .metrics import FairnessEvaluation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.backend import ArrayBackend
     from ..data.dataset import FairnessDataset
-
-
-def _resolve_backend(backend) -> "ArrayBackend":
-    # Deferred import: ``repro.core`` imports this module (via the search),
-    # so a module-level ``core.backend`` import would be circular.
-    from ..core.backend import get_backend
-
-    return get_backend(backend)
 
 
 @dataclass
@@ -119,7 +110,6 @@ class EvaluationEngine:
         labels: np.ndarray,
         bank: GroupIndexBank,
         attributes: Optional[Sequence[str]] = None,
-        backend: Optional[object] = None,
     ) -> None:
         labels = np.asarray(labels)  # repro-lint: disable=RL7 — dtype inspected before the int64 cast below
         if labels.dtype == np.object_ or np.issubdtype(labels.dtype, np.complexfloating):
@@ -131,10 +121,6 @@ class EvaluationEngine:
                     "pass integer class labels (int32/int64) or integral floats"
                 )
         self.labels = labels.astype(np.int64, copy=False)
-        self.backend = _resolve_backend(backend)
-        #: compute-dtype copy of the bank's membership matrix, built lazily
-        #: (the identity backend uses the bank's float64 matrix directly)
-        self._membership_compute: Optional[np.ndarray] = None
         if self.labels.ndim != 1:
             raise ValueError("labels must be a 1-D array")
         if self.labels.shape[0] != bank.num_samples:
@@ -162,9 +148,8 @@ class EvaluationEngine:
         cls,
         dataset: "FairnessDataset",
         attributes: Optional[Sequence[str]] = None,
-        backend: Optional[object] = None,
     ) -> "EvaluationEngine":
-        """Engine over ``dataset`` (memoised per dataset, attributes and backend).
+        """Engine over ``dataset`` (memoised per dataset and attributes).
 
         The underlying :class:`GroupIndexBank` is the dataset's cached bank,
         so repeated evaluations on the same partition — every controller
@@ -172,22 +157,18 @@ class EvaluationEngine:
         of membership matrices.
         """
         names = tuple(attributes) if attributes is not None else dataset.attributes.names
-        resolved = _resolve_backend(backend)
-        key = (names, resolved.name)
         per_dataset: Dict[Tuple, EvaluationEngine] = _DATASET_ENGINES.setdefault(
             dataset, {}
         )
-        engine = per_dataset.get(key)
+        engine = per_dataset.get(names)
         if engine is None:
             for name in names:
                 dataset.attributes[name]  # KeyError with the available names
             if names:
-                engine = cls(dataset.labels, dataset.group_index_bank(names), backend=resolved)
+                engine = cls(dataset.labels, dataset.group_index_bank(names))
             else:  # accuracy-only evaluation over the dataset's full bank
-                engine = cls(
-                    dataset.labels, dataset.group_index_bank(), attributes=(), backend=resolved
-                )
-            per_dataset[key] = engine
+                engine = cls(dataset.labels, dataset.group_index_bank(), attributes=())
+            per_dataset[names] = engine
         return engine
 
     @classmethod
@@ -208,25 +189,7 @@ class EvaluationEngine:
     def restrict(self, indices: np.ndarray) -> "EvaluationEngine":
         """Engine over the sample subset ``indices`` (bank slice memoised)."""
         indices = np.asarray(indices, dtype=np.int64)
-        return EvaluationEngine(
-            self.labels[indices], self.bank.slice(indices), self.attributes,
-            backend=self.backend,
-        )
-
-    def _membership(self) -> np.ndarray:
-        """The bank's membership matrix in the backend's compute dtype.
-
-        The identity backend reads the bank's float64 matrix directly (no
-        copy, no cast — bit-identity); mixed-precision backends cache one
-        compute-dtype copy per engine.
-        """
-        if self.backend.is_identity:
-            return self.bank.membership
-        if self._membership_compute is None:
-            self._membership_compute = self.bank.membership.astype(
-                self.backend.compute_dtype
-            )
-        return self._membership_compute
+        return EvaluationEngine(self.labels[indices], self.bank.slice(indices), self.attributes)
 
     # ------------------------------------------------------------------
     # Batched metrics
@@ -272,34 +235,25 @@ class EvaluationEngine:
         batch = self._as_batch(predictions)
         if self.num_samples == 0:
             return np.zeros(batch.shape[0], dtype=np.float64)
-        correct = (batch == self.labels[None, :]).astype(self.backend.compute_dtype)
-        # Float64 accumulation either way: on float64 input this is numpy's
-        # plain pairwise sum (identical bits to the pre-backend code).
+        correct = (batch == self.labels[None, :]).astype(np.float64)
         return correct.sum(axis=1, dtype=np.float64) / self.num_samples
 
     def evaluate(self, predictions: np.ndarray) -> BatchEvaluation:
         """Score every candidate on every attribute in a handful of array ops."""
         batch = self._as_batch(predictions)
         num_candidates = batch.shape[0]
-        correct = (batch == self.labels[None, :]).astype(self.backend.compute_dtype)
+        correct = (batch == self.labels[None, :]).astype(np.float64)
         if self.num_samples:
-            # Boolean sums are exact integer counts accumulated in float64,
-            # so this is bitwise the scalar ``(preds == labels).mean()``
-            # under the identity backend — and still exact under float32
-            # compute, because the accumulator stays float64.
+            # Boolean sums are exact integer counts in float64, so this is
+            # bitwise the scalar ``(preds == labels).mean()``.
             accuracy = correct.sum(axis=1, dtype=np.float64) / self.num_samples
         else:
             accuracy = np.zeros(num_candidates, dtype=np.float64)
 
         # One matmul yields every per-group correct count for every
         # candidate and attribute (columns are the bank's group blocks).
-        # This is the backend's GEMM: float32 operands under mixed
-        # precision — the products are 0/1 and every partial sum is an
-        # integer below 2^24, so the counts remain exact — then everything
-        # downstream (divisions, deviations) accumulates in float64.
         if self.attributes:
-            group_correct = self.backend.matmul(correct, self._membership())
-            group_correct = group_correct.astype(np.float64, copy=False)
+            group_correct = np.matmul(correct, self.bank.membership)
         else:
             group_correct = None
 

@@ -48,16 +48,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .functional import one_hot as _one_hot
 from .modules import MLP, LeakyReLU, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
-
-
-def _resolve_backend(backend):
-    # Deferred import: ``repro.core`` (which owns the backend registry)
-    # imports this module through the trainer, so a module-level import
-    # would be circular.
-    from ..core.backend import get_backend
-
-    return get_backend(backend)
 
 __all__ = [
     "FusedStack",
@@ -239,11 +231,10 @@ class FusedParamBlock:
     mixed block stays bit-identical to training every stack alone.
     """
 
-    def __init__(self, stacks: Sequence[FusedStack], dtype=np.float64) -> None:
+    def __init__(self, stacks: Sequence[FusedStack]) -> None:
         if not stacks:
             raise ValueError("FusedParamBlock needs at least one stack")
         self.stacks = list(stacks)
-        self.dtype = np.dtype(dtype)
         by_signature: Dict[tuple, List[int]] = {}
         for index, stack in enumerate(self.stacks):
             by_signature.setdefault(stack.signature, []).append(index)
@@ -251,8 +242,8 @@ class FusedParamBlock:
         self.order: List[int] = [index for indices in self.members for index in indices]
         self.num_candidates = len(self.stacks)
         sizes = [len(indices) * self.stacks[indices[0]].num_parameters for indices in self.members]
-        self.theta = np.empty(sum(sizes), dtype=self.dtype)
-        self.grad = np.zeros(sum(sizes), dtype=self.dtype)
+        self.theta = np.empty(sum(sizes), dtype=np.float64)
+        self.grad = np.zeros(sum(sizes), dtype=np.float64)
         self.groups: List[_SignatureGroup] = []
         offset = 0
         for indices, size in zip(self.members, sizes):
@@ -297,17 +288,13 @@ class FusedParamBlock:
     def write_back(self) -> None:
         """Copy the trained flat parameters back into the live modules.
 
-        Module parameters stay float64 whatever the training dtype was: for
-        float64 blocks ``astype`` is a plain copy (identical bits to the
-        pre-backend ``.copy()``); mixed-precision blocks widen on the way
-        out so downstream consumers (state dicts, artifacts, the autograd
-        oracle) keep one canonical parameter dtype.
+        Copies, so the modules never alias the block's reused buffer.
         """
         for group in self.groups:
             for c, stack in enumerate(group.stacks):
                 for layer, linear in enumerate(stack.linears):
-                    linear.weight.data = group.weights[layer][c].astype(np.float64)
-                    linear.bias.data = group.biases[layer][c, 0].astype(np.float64)
+                    linear.weight.data = group.weights[layer][c].copy()
+                    linear.bias.data = group.biases[layer][c, 0].copy()
 
 
 # ----------------------------------------------------------------------
@@ -506,17 +493,16 @@ class FusedAdam:
         betas: Tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
         weight_decay: float = 0.0,
-        dtype=np.float64,
     ) -> None:
         self.lr = float(lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self._step = 0
-        self._m = np.zeros(shape, dtype=dtype)
-        self._v = np.zeros(shape, dtype=dtype)
-        self._scratch = np.empty(shape, dtype=dtype)
-        self._scratch2 = np.empty(shape, dtype=dtype)
+        self._m = np.zeros(shape, dtype=np.float64)
+        self._v = np.zeros(shape, dtype=np.float64)
+        self._scratch = np.empty(shape, dtype=np.float64)
+        self._scratch2 = np.empty(shape, dtype=np.float64)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         self._step += 1
@@ -550,13 +536,12 @@ class FusedSGD:
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        dtype=np.float64,
     ) -> None:
         self.lr = float(lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = np.zeros(shape, dtype=dtype)
-        self._scratch = np.empty(shape, dtype=dtype)
+        self._velocity = np.zeros(shape, dtype=np.float64)
+        self._scratch = np.empty(shape, dtype=np.float64)
 
     def step(self, theta: np.ndarray, grad: np.ndarray) -> None:
         if self.weight_decay:
@@ -590,7 +575,6 @@ def train_fused_stacks(
     optimizer: str = "adam",
     loss: str = "weighted_mse",
     seed: int = 0,
-    backend=None,
 ) -> List[List[float]]:
     """Train ``C`` stacks simultaneously; returns per-head loss curves.
 
@@ -602,14 +586,6 @@ def train_fused_stacks(
     reference draws — so every head sees the reference minibatch order and
     the trained parameters are bit-identical to ``C`` independent reference
     runs.
-
-    ``backend`` (a name or :class:`repro.core.backend.ArrayBackend`) picks
-    the GEMM dtype.  Under the default ``numpy-float64`` backend every array
-    below is the float64 array the pre-backend code built and results stay
-    bit-identical; under ``numpy-float32`` the forward/backward/optimiser
-    math runs in float32 while the recorded loss curves are accumulated in
-    float64 and the trained parameters are widened back to float64 by
-    ``write_back`` (tolerance contract: ``repro.core.backend.TOLERANCES``).
     """
     if loss not in _LOSS_KERNELS:
         raise ValueError(f"loss must be one of {sorted(_LOSS_KERNELS)}, got '{loss}'")
@@ -617,14 +593,12 @@ def train_fused_stacks(
         raise ValueError(f"optimizer must be 'adam' or 'sgd', got '{optimizer}'")
     if len(stacks) != len(inputs):
         raise ValueError("stacks and inputs must align one-to-one")
-    backend = _resolve_backend(backend)
-    dtype = backend.compute_dtype
     labels = np.asarray(labels, dtype=np.int64)
-    weights = np.asarray(sample_weights, dtype=dtype)
+    weights = np.asarray(sample_weights, dtype=np.float64)
     n = labels.shape[0]
     stacked_inputs = []
     for stack, matrix in zip(stacks, inputs):
-        matrix = np.asarray(matrix, dtype=dtype)
+        matrix = np.asarray(matrix, dtype=np.float64)
         expected = (n, stack.shapes[0][0])
         if matrix.shape != expected:
             raise ValueError(f"inputs must have shape {expected}, got {matrix.shape}")
@@ -637,16 +611,16 @@ def train_fused_stacks(
                 f"stack output width {stack.shapes[-1][1]} != num_classes {num_classes}"
             )
 
-    block = FusedParamBlock(stacks, dtype=dtype)
+    block = FusedParamBlock(stacks)
     # one (C_g, n, in_g) input tensor per signature group
     X = [np.stack([stacked_inputs[i] for i in indices]) for indices in block.members]
-    one_hot = backend.one_hot(labels, num_classes)
+    one_hot = _one_hot(labels, num_classes)
 
     shape = block.theta.shape
     if optimizer == "adam":
-        opt = FusedAdam(shape, lr=lr, weight_decay=weight_decay, dtype=dtype)
+        opt = FusedAdam(shape, lr=lr, weight_decay=weight_decay)
     else:
-        opt = FusedSGD(shape, lr=lr, momentum=0.9, weight_decay=weight_decay, dtype=dtype)
+        opt = FusedSGD(shape, lr=lr, momentum=0.9, weight_decay=weight_decay)
     loss_kernel = _LOSS_KERNELS[loss]
 
     rng = np.random.default_rng(seed)
@@ -660,13 +634,12 @@ def train_fused_stacks(
         batch_losses: List[np.ndarray] = []
         for start in range(0, n, batch_size):
             stop = start + batch_size
-            losses = block.train_step(
-                opt, [x[:, start:stop] for x in x_epoch], loss_kernel,
-                targets_epoch[start:stop], weights_epoch[start:stop],
+            batch_losses.append(
+                block.train_step(
+                    opt, [x[:, start:stop] for x in x_epoch], loss_kernel,
+                    targets_epoch[start:stop], weights_epoch[start:stop],
+                )
             )
-            # Loss curves accumulate in float64 whatever the compute dtype
-            # (on float64 losses ``astype(copy=False)`` is the identity).
-            batch_losses.append(losses.astype(np.float64, copy=False))
         # Per-head loss curves: a contiguous (num_heads, num_batches) matrix
         # keeps np.mean's pairwise summation identical to the reference's
         # mean over a per-head python list of the same floats.

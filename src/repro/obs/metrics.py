@@ -23,7 +23,7 @@ Design constraints, in force everywhere the library records telemetry:
 * **Never touches RNG state.**  No ``random``/``uuid`` anywhere in the
   observability layer; identifiers are sequential.
 * **Hash-excluded.**  Telemetry settings ride in ``ObsSpec`` which, like
-  ``execution`` and ``backend``, never enters ``spec_hash()``.
+  ``execution``, never enters ``spec_hash()``.
 * **Bounded label cardinality.**  A metric rejects new label-value
   combinations past :data:`MAX_LABEL_SETS` with
   :class:`LabelCardinalityError`, so an unbounded label (user id, raw

@@ -40,7 +40,6 @@ from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-from ..core.backend import DEFAULT_BACKEND, get_backend
 from ..core.execution import build_executor
 from ..core.fusing import FusedModel
 from ..utils.logging import RunLogger
@@ -79,10 +78,6 @@ class ServeConfig:
     log_every: int = 100
     #: return per-class probabilities with every response
     return_probabilities: bool = True
-    #: registered array backend the stacked feature batch is cast through
-    #: ('numpy-float64' is bit-identical to pre-backend serving;
-    #: 'numpy-float32' halves the feature batch under the tolerance contract)
-    backend: str = DEFAULT_BACKEND
     #: independent micro-batcher shards, each over its own bit-identical
     #: model replica
     num_shards: int = 1
@@ -138,9 +133,7 @@ class ServeConfig:
             raise ValueError("restart_backoff_factor must be >= 1")
         if self.breaker_reset_ms <= 0:
             raise ValueError("breaker_reset_ms must be positive")
-        # Resolve aliases eagerly so an unknown backend fails at config time,
-        # and parse the fault plan so a malformed one fails here, not mid-serve.
-        self.backend = get_backend(self.backend).name
+        # Parse the fault plan so a malformed one fails here, not mid-serve.
         self.fault_plan = resolve_fault_plan(self.fault_plan)
 
 
@@ -177,12 +170,10 @@ class InferenceServer:
             log_every=self.config.log_every,
             logger=self.logger,
         )
-        self._backend = get_backend(self.config.backend)
         self._executor = build_executor(self.config.executor, self.config.max_workers)
         self.pool = ShardPool(
             model,
             self.config,
-            backend=self._backend,
             executor=self._executor,
             logger=self.logger,
             monitor=self.monitor,
@@ -312,7 +303,6 @@ class InferenceServer:
                 "batch_window_ms": self.config.batch_window_ms,
                 "max_batch": self.config.max_batch,
                 "executor": self.config.executor,
-                "backend": self.config.backend,
                 "num_shards": self.config.num_shards,
                 "queue_depth": self.config.queue_depth,
             },

@@ -367,10 +367,8 @@ class Shard:
             for request in batch:
                 plan.check_request(request.admission_index)
         features = [request.features for request in batch]
+        # Features arrive float64 from ``schema.validate_features``.
         stacked = features[0] if len(features) == 1 else np.concatenate(features, axis=0)
-        # For the float64 backend this cast is a no-op (bit-identical); for
-        # float32 it halves the batch before the member forwards.
-        stacked = pool.backend.asarray(stacked)
         detailed = self.model.predict_detailed_features(
             stacked, executor=pool.executor
         )
@@ -417,14 +415,12 @@ class ShardPool:
         self,
         model,
         config,
-        backend,
         executor,
         logger: Optional[RunLogger] = None,
         monitor=None,
     ) -> None:
         self.model = model
         self.config = config
-        self.backend = backend
         self.executor = executor
         self.logger = logger or RunLogger(name="serve-pool", verbose=False)
         self.monitor = monitor

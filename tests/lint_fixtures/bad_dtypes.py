@@ -10,15 +10,15 @@ from numpy import asarray, empty as np_empty
 
 def sloppy(values, n):
     a = np.asarray(values)  # RL7: result dtype follows the input
-    b = np.zeros(n)  # RL7: defaults to float64 regardless of backend
+    b = np.zeros(n)  # RL7: dtype left implicit
     c = np.empty((n, n))  # RL7: same
     d = asarray(values)  # RL7: from-import alias resolves too
     e = np_empty(n)  # RL7: renamed from-import alias resolves too
     return a, b, c, d, e
 
 
-def disciplined(values, n, compute_dtype):
-    a = np.asarray(values, dtype=compute_dtype)  # pinned via kwarg
+def disciplined(values, n, dtype):
+    a = np.asarray(values, dtype=dtype)  # pinned via kwarg
     b = np.zeros(n, np.float64)  # pinned positionally
     c = np.empty((n, n), dtype=np.float32)
     d = np.asarray(values)  # repro-lint: disable=RL7 — suppression honoured

@@ -149,6 +149,51 @@ class TestResume:
         assert status["pool"] == "cached"
         assert status["search"] == "cached"
 
+    def test_search_cached_by_removed_float32_backend_is_recomputed(self, tmp_path):
+        """A float32-era search artifact shares the stage hash but never resumes.
+
+        The tampered reward would change ``result_hash()`` if the artifact
+        were loaded; the cached finalize must not attach to the new search.
+        """
+        import json
+        from pathlib import Path
+
+        from repro.utils.serialization import save_json
+
+        spec_path = Path(__file__).parent.parent / "examples" / "specs" / "smoke.json"
+        spec = RunSpec.from_json(spec_path)
+        fresh = MuffinPipeline(spec, cache_dir=tmp_path).run()
+        search_path = tmp_path / f"search-{spec.stage_hash('search')}.json"
+        payload = json.loads(search_path.read_text())
+        payload["execution_stats"]["backend"] = "numpy-float32"
+        payload["records"][0]["reward"] += 1.0
+        save_json(payload, search_path)
+
+        rerun = MuffinPipeline(RunSpec.from_json(spec_path), cache_dir=tmp_path).run()
+        status = {t.stage: t.status for t in rerun.timings}
+        assert status["pool"] == "cached"
+        assert status["search"] == "ran"
+        assert status["finalize"] == "ran"
+        assert status["export"] == "ran"
+        assert status["report"] == "ran"
+        assert rerun.result.result_hash() == fresh.result.result_hash()
+        assert rerun.muffin.record.episode == fresh.muffin.record.episode
+
+    def test_float64_search_artifact_still_resumes(self, cache_dir, first_run):
+        """Artifacts that recorded the float64 backend (every pre-removal run) load."""
+        import json
+
+        from repro.utils.serialization import save_json
+
+        search_path = cache_dir / f"search-{tiny_spec().stage_hash('search')}.json"
+        payload = json.loads(search_path.read_text())
+        payload["execution_stats"]["backend"] = "numpy-float64"
+        save_json(payload, search_path)
+        result = MuffinPipeline(tiny_spec(), cache_dir=cache_dir).run()
+        status = {t.stage: t.status for t in result.timings}
+        assert status["search"] == "cached"
+        assert status["finalize"] == "cached"
+
 
 class TestExportStage:
     def test_artifact_written_and_deployable(self, cache_dir, first_run):

@@ -178,3 +178,59 @@ class TestQuickstartSpecFile:
             spec = RunSpec.from_json(specs_dir / name)
             assert spec.search.attributes == ("age", "site")
             assert RunSpec.from_json(spec.to_json()) == spec
+
+
+class TestLegacyBackendSection:
+    """Specs written while the ``backend`` section existed still load.
+
+    Every ``RunSpec.to_dict()`` used to emit ``"backend": {"name":
+    "numpy-float64"}``; the hashes below were recorded from such a dict of
+    ``examples/specs/quickstart.json`` and must not move.
+    """
+
+    QUICKSTART_SPEC_HASH = "e7623d56a79b"
+    QUICKSTART_STAGE_HASHES = {
+        "dataset": "fdc3034024cf",
+        "split": "fdc3034024cf",
+        "pool": "0cb545d32c83",
+        "search": "78bc11f840ab",
+        "finalize": "de44b7965cc3",
+        "export": "0ff784b86a7d",
+        "report": "9896963fbfc4",
+    }
+
+    def _legacy_quickstart(self, backend):
+        from pathlib import Path
+
+        path = Path(__file__).parent.parent / "examples" / "specs" / "quickstart.json"
+        payload = RunSpec.from_json(path).to_dict()
+        payload["backend"] = backend
+        return payload
+
+    @pytest.mark.parametrize(
+        "section",
+        [{"name": "numpy-float64"}, {"name": "float64"}, {"name": "fp64"}, {"name": "f64"}, {}],
+    )
+    def test_float64_section_loads_with_unchanged_hashes(self, section):
+        spec = RunSpec.from_dict(self._legacy_quickstart(section))
+        assert "backend" not in spec.to_dict()
+        assert spec.spec_hash() == self.QUICKSTART_SPEC_HASH
+        assert {
+            stage: spec.stage_hash(stage) for stage in self.QUICKSTART_STAGE_HASHES
+        } == self.QUICKSTART_STAGE_HASHES
+
+    @pytest.mark.parametrize("name", ["numpy-float32", "fp32", "float16"])
+    def test_other_backends_are_rejected(self, name):
+        with pytest.raises(SpecError, match="float32 backend was removed"):
+            RunSpec.from_dict(self._legacy_quickstart({"name": name}))
+
+    def test_malformed_section_is_rejected(self):
+        with pytest.raises(SpecError, match="legacy 'backend'"):
+            RunSpec.from_dict(self._legacy_quickstart({"name": "numpy-float64", "x": 1}))
+        with pytest.raises(SpecError, match="legacy 'backend'"):
+            RunSpec.from_dict(self._legacy_quickstart("numpy-float64"))
+
+    def test_new_specs_have_no_backend_section(self):
+        assert "backend" not in make_spec().to_dict()
+        with pytest.raises(TypeError):
+            RunSpec(backend={"name": "numpy-float64"})

@@ -16,8 +16,7 @@ V1_RECORD_FIELDS = {
 def test_json_document_is_schema_v2_with_v1_fields(tmp_path, capsys):
     out = tmp_path / "bench.json"
     code = bench_main(
-        ["--json", str(out), "--backend", "numpy-float64",
-         "--bench", "metrics_engine", "--rounds", "1"]
+        ["--json", str(out), "--bench", "metrics_engine", "--rounds", "1"]
     )
     assert code == 0
     document = json.loads(out.read_text())
@@ -25,6 +24,7 @@ def test_json_document_is_schema_v2_with_v1_fields(tmp_path, capsys):
     assert isinstance(document["identity_only"], bool)
     record = document["records"][0]
     assert V1_RECORD_FIELDS <= set(record)
+    assert record["backend"] == "numpy-float64"
     assert record["verdict"] == "identity"
     # the v2 addition: per-phase wall times measured by the span layer
     phases = record["metrics"]["phases"]
@@ -35,8 +35,6 @@ def test_json_document_is_schema_v2_with_v1_fields(tmp_path, capsys):
 
 def test_span_capture_does_not_leak_a_writer():
     assert active_writer() is None
-    records = run_benchmarks(
-        backends=["numpy-float64"], benchmarks=["metrics_engine"], rounds=1
-    )
+    records = run_benchmarks(benchmarks=["metrics_engine"], rounds=1)
     assert active_writer() is None
     assert records[0].metrics["phases"]["baseline"] > 0.0

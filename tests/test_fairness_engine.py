@@ -340,49 +340,6 @@ class TestNonFloat64Inputs:
             EvaluationEngine.from_arrays(labels.astype(object), group_ids, specs)
 
 
-class TestFloat32Backend:
-    """The float32 engine's group counts are exact (0/1 GEMM below 2^24),
-    so its metrics are *bit-identical* to the float64 engine — the property
-    that justifies the tight 'metrics'/'group_counts' tolerance entries."""
-
-    def _engines(self, rng, num_samples=500):
-        labels, group_ids, specs = random_problem(rng, num_samples, (4, 3))
-        bank = GroupIndexBank(group_ids, specs)
-        oracle = EvaluationEngine(labels, bank)
-        fp32 = EvaluationEngine(labels, bank, backend="numpy-float32")
-        return oracle, fp32, labels
-
-    def test_float32_engine_is_bit_identical_on_hard_predictions(self):
-        rng = np.random.default_rng(31)
-        oracle, fp32, labels = self._engines(rng)
-        stacked = np.stack(
-            [
-                np.where(rng.random(len(labels)) < 0.6 + 0.05 * i, labels, 0)
-                for i in range(6)
-            ]
-        )
-        expected = oracle.evaluate(stacked)
-        got = fp32.evaluate(stacked)
-        assert got.accuracy.tolist() == expected.accuracy.tolist()
-        for name in expected.unfairness:
-            assert got.group_accuracy[name].tolist() == expected.group_accuracy[name].tolist()
-            assert got.unfairness[name].tolist() == expected.unfairness[name].tolist()
-            assert got.gaps[name].tolist() == expected.gaps[name].tolist()
-
-    def test_for_dataset_memoises_per_backend(self, isic_dataset):
-        oracle_a = EvaluationEngine.for_dataset(isic_dataset)
-        oracle_b = EvaluationEngine.for_dataset(isic_dataset, backend="numpy-float64")
-        fp32 = EvaluationEngine.for_dataset(isic_dataset, backend="fp32")
-        assert oracle_a is oracle_b
-        assert fp32 is not oracle_a
-        assert fp32.backend.name == "numpy-float32"
-        assert EvaluationEngine.for_dataset(isic_dataset, backend="numpy-float32") is fp32
-
-    def test_restrict_preserves_the_backend(self, isic_dataset):
-        fp32 = EvaluationEngine.for_dataset(isic_dataset, backend="numpy-float32")
-        assert fp32.restrict(np.arange(40)).backend is fp32.backend
-
-
 class TestGroupIdValidation:
     """Out-of-range group ids used to be silently ignored (regression)."""
 

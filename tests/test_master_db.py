@@ -14,6 +14,7 @@ from repro.master.db import (
     RunDatabase,
     StatusTransitionError,
 )
+from repro.utils.serialization import save_json
 
 
 def _tiny_spec(name="db-test"):
@@ -88,6 +89,19 @@ class TestRunLifecycle:
         assert status["status"] == "pending"
         assert status["priority"] == 3
         assert status["spec_hash"] == spec.spec_hash()
+
+    def test_stored_spec_with_legacy_backend_section_reloads(self, tmp_path):
+        """spec.json files written while RunSpec had a ``backend`` section load."""
+        db = RunDatabase(tmp_path)
+        spec = _tiny_spec()
+        rid = db.submit(spec)
+        path = db.run_dir(rid) / "spec.json"
+        stored = json.loads(path.read_text())
+        stored["backend"] = {"name": "numpy-float64"}
+        save_json(stored, path)
+        reloaded = db.spec(rid)
+        assert reloaded.to_dict() == spec.to_dict()
+        assert reloaded.spec_hash() == db.status(rid)["spec_hash"]
 
     def test_valid_transitions(self, tmp_path):
         db = RunDatabase(tmp_path)

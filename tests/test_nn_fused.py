@@ -496,88 +496,6 @@ class TestOracleSwitch:
 
 
 # ---------------------------------------------------------------------------
-# Backend/precision layer: float64 identity, float32 tolerance contract
-# ---------------------------------------------------------------------------
-class TestBackends:
-    NUM_CLASSES = 5
-
-    def _workload(self, seed=7, n=300, dim=14):
-        rng = np.random.default_rng(seed)
-        labels = rng.integers(0, self.NUM_CLASSES, n)
-        weights = rng.random(n) + 0.05
-        outputs = [rng.random((n, dim)) for _ in range(3)]
-        make_heads = lambda: [  # noqa: E731 - fresh identical head sets
-            MuffinHead(dim, self.NUM_CLASSES, (16,), "relu", seed=40 + i)
-            for i in range(3)
-        ]
-        return make_heads, outputs, labels, weights
-
-    def _train(self, backend):
-        make_heads, outputs, labels, weights = self._workload()
-        config = HeadTrainConfig(epochs=6, batch_size=64, seed=2, backend=backend)
-        heads = make_heads()
-        results = train_heads_batched(
-            heads, outputs, labels, weights, self.NUM_CLASSES, config
-        )
-        return heads, results
-
-    def test_backend_aliases_resolve_at_config_time(self):
-        assert HeadTrainConfig(backend="fp32").backend == "numpy-float32"
-        assert HeadTrainConfig(backend="float64").backend == "numpy-float64"
-
-    def test_unknown_backend_fails_at_config_time_with_suggestion(self):
-        with pytest.raises(KeyError, match="numpy-float32"):
-            HeadTrainConfig(backend="numpy-float3")
-
-    def test_explicit_float64_backend_is_bit_identical_to_default(self):
-        default_heads, default_results = self._train("numpy-float64")
-        implicit_heads, implicit_results = self._train(None)
-        for a, b in zip(default_results, implicit_results):
-            assert a.losses == b.losses
-        for a, b in zip(default_heads, implicit_heads):
-            _assert_heads_identical(a, b)
-
-    def test_float32_backend_satisfies_the_tolerance_contract(self):
-        from repro.core import assert_backend_close
-
-        oracle_heads, oracle_results = self._train("numpy-float64")
-        fp32_heads, fp32_results = self._train("numpy-float32")
-        for oracle, fp32 in zip(oracle_results, fp32_results):
-            assert_backend_close(
-                "numpy-float32", "loss_curve", fp32.losses, oracle.losses
-            )
-        for oracle_head, fp32_head in zip(oracle_heads, fp32_heads):
-            oracle_state = oracle_head.state_dict()
-            fp32_state = fp32_head.state_dict()
-            assert set(oracle_state) == set(fp32_state)
-            for key in oracle_state:
-                # parameters are widened back to one canonical float64 dtype
-                assert fp32_state[key].dtype == np.float64
-                assert_backend_close(
-                    "numpy-float32", "head_weights", fp32_state[key], oracle_state[key]
-                )
-
-    def test_float32_backend_must_actually_diverge(self):
-        """Guards the contract test against accidentally running float64."""
-        oracle_heads, _ = self._train("numpy-float64")
-        fp32_heads, _ = self._train("numpy-float32")
-        drifted = any(
-            not np.array_equal(a.state_dict()[key], b.state_dict()[key])
-            for a, b in zip(oracle_heads, fp32_heads)
-            for key in a.state_dict()
-        )
-        assert drifted, "float32 training reproduced float64 bits exactly"
-
-    def test_identity_assertion_rejects_drift(self):
-        from repro.core import assert_backend_close
-
-        with pytest.raises(AssertionError, match="identity backend"):
-            assert_backend_close(
-                "numpy-float64", "head_weights", np.array([1.0]), np.array([1.0 + 1e-12])
-            )
-
-
-# ---------------------------------------------------------------------------
 # Structural eligibility
 # ---------------------------------------------------------------------------
 class TestEligibility:
