@@ -78,7 +78,7 @@ def _sequential_burst(fused, features):
 def _batched_burst(fused, features):
     """The same burst through the micro-batching server."""
     server = InferenceServer(
-        fused, ServeConfig(batch_window_ms=20.0, max_batch=BURST, log_every=0)
+        fused, ServeConfig(max_batch=BURST, log_every=0)
     )
     start = time.perf_counter()
     pending = [server.submit(features[i : i + 1]) for i in range(BURST)]

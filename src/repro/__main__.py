@@ -16,7 +16,7 @@ Subcommand families:
 * ``serve <artifact.json>`` — serve a bundle over HTTP with micro-batching
   and live fairness monitoring::
 
-      python -m repro serve muffin.json --port 8000 --batch-window-ms 5 --max-batch 64
+      python -m repro serve muffin.json --port 8000 --max-batch 64
 
 * ``master`` / ``submit`` / ``status`` / ``watch`` / ``cancel`` — the
   distributed-search daemon and its clients: a master owns a persistent run
@@ -310,12 +310,6 @@ def _serve_command(argv: Sequence[str]) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8000)
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=5.0,
-        help="how long the micro-batcher waits for more requests (default: 5)",
-    )
-    parser.add_argument(
         "--max-batch",
         type=int,
         default=64,
@@ -346,7 +340,7 @@ def _serve_command(argv: Sequence[str]) -> int:
         default=1,
         metavar="N",
         help="independent micro-batcher shards over bit-identical model "
-        "replicas (default: 1)",
+        "replicas; each is a failure domain, not extra capacity (default: 1)",
     )
     parser.add_argument(
         "--queue-depth",
@@ -377,7 +371,6 @@ def _serve_command(argv: Sequence[str]) -> int:
     try:
         fused = load_fused_model(args.artifact)
         config = ServeConfig(
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             executor=args.executor,
             max_workers=args.max_workers,

@@ -7,9 +7,11 @@ so the server coalesces concurrent requests into **micro-batches**:
 * every request enters a *bounded* per-shard FIFO queue (admission control
   rejects with :class:`~repro.serve.errors.ServerOverloaded` when every
   queue is at its bound — the server never queues-and-hopes);
-* each shard's worker thread pops the first request, then keeps collecting
-  until either ``batch_window_ms`` elapses or ``max_batch`` sample rows are
-  gathered;
+* each shard's worker thread pops the first request and takes whatever is
+  already queued behind it, up to ``max_batch`` sample rows — it never
+  waits for more to arrive, so a lone request is forwarded at once, and
+  under load batches form from the requests that queued up while the
+  previous forward ran;
 * the collected feature matrices are stacked into one
   :meth:`~repro.core.fusing.FusedModel.predict_detailed_features` forward
   pass (member forwards optionally dispatched through a
@@ -20,7 +22,10 @@ Because the forward pass is deterministic and row-independent, a batched
 response carries the same predicted labels as a one-request-at-a-time
 forward pass — batching changes throughput, never answers.  The same holds
 across shards: every shard serves a bit-identical replica of one artifact,
-so ``num_shards`` changes capacity and blast radius, never answers.
+so ``num_shards`` never changes answers.  Shards buy isolation, not
+capacity: their worker threads share one interpreter lock, so a second
+shard adds a failure domain (a crash or hang takes down one slot, not the
+server) while closed-loop throughput goes *down*, not up.
 
 Fault tolerance lives in :mod:`repro.serve.supervisor` (the
 :class:`~repro.serve.supervisor.ShardPool`: health state machine,
@@ -63,8 +68,6 @@ __all__ = [
 class ServeConfig:
     """Knobs of the micro-batching inference server."""
 
-    #: how long the batcher waits for more requests after the first one (ms)
-    batch_window_ms: float = 5.0
     #: maximum sample rows coalesced into one forward pass
     max_batch: int = 64
     #: registered executor dispatching the independent member forwards
@@ -79,7 +82,7 @@ class ServeConfig:
     #: return per-class probabilities with every response
     return_probabilities: bool = True
     #: independent micro-batcher shards, each over its own bit-identical
-    #: model replica
+    #: model replica — a failure domain each, not extra capacity
     num_shards: int = 1
     #: bound of each shard's request queue — this IS the admission-control
     #: threshold: when every queue holds this many requests, submit()
@@ -115,8 +118,6 @@ class ServeConfig:
     fault_plan: Union[None, FaultPlan, Dict[str, object], str] = None
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError("batch_window_ms must be non-negative")
         if self.max_batch <= 0:
             raise ValueError("max_batch must be positive")
         if self.monitor_window <= 0:
@@ -300,7 +301,6 @@ class InferenceServer:
             "restarts": totals["restarts"],
             "shards": self.pool.shard_stats(),
             "config": {
-                "batch_window_ms": self.config.batch_window_ms,
                 "max_batch": self.config.max_batch,
                 "executor": self.config.executor,
                 "num_shards": self.config.num_shards,

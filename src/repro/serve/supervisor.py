@@ -64,6 +64,11 @@ _REQUEST_LATENCY_MS = METRICS.histogram(
     "End-to-end request latency (enqueue to response), milliseconds.",
     buckets=DEFAULT_LATENCY_BUCKETS_MS,
 )
+_QUEUE_WAIT_MS = METRICS.histogram(
+    "repro_serve_queue_wait_ms",
+    "Time a served request spent queued (enqueue to forward start), milliseconds.",
+    buckets=DEFAULT_LATENCY_BUCKETS_MS,
+)
 _BATCH_ROWS = METRICS.histogram(
     "repro_serve_batch_rows",
     "Sample rows coalesced into one micro-batch forward pass.",
@@ -278,27 +283,28 @@ class Shard:
     def _collect_batch(
         self, first: PendingRequest
     ) -> Tuple[List[PendingRequest], bool]:
-        """Coalesce requests after ``first`` within the batching window."""
-        config = self.pool.config
+        """``first`` plus whatever is already queued behind it, in FIFO order.
+
+        Work-conserving: the batcher never waits on a clock for company.
+        Under load, batches still form, because requests pile up while the
+        previous forward runs.  Collection stops at ``max_batch`` rows (the
+        last request may overshoot it; an oversized ``first`` runs alone),
+        at an empty queue, or at the shutdown sentinel — then ``exiting``
+        is True and the batch collected so far is still served.
+        """
+        max_batch = self.pool.config.max_batch
         batch = [first]
         rows = first.rows
-        deadline = time.monotonic() + config.batch_window_ms / 1000.0
-        exiting = False
-        while rows < config.max_batch:
-            remaining = deadline - time.monotonic()
+        while rows < max_batch:
             try:
-                if remaining <= 0:
-                    item = self.queue.get_nowait()
-                else:
-                    item = self.queue.get(timeout=remaining)
+                item = self.queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
-                exiting = True
-                break
+                return batch, True
             batch.append(item)
             rows += item.rows
-        return batch, exiting
+        return batch, False
 
     def _shed_expired(self, batch: List[PendingRequest]) -> List[PendingRequest]:
         """Fail requests whose deadline passed; compute is for the living."""
@@ -369,6 +375,7 @@ class Shard:
         features = [request.features for request in batch]
         # Features arrive float64 from ``schema.validate_features``.
         stacked = features[0] if len(features) == 1 else np.concatenate(features, axis=0)
+        forward_at = time.perf_counter()
         detailed = self.model.predict_detailed_features(
             stacked, executor=pool.executor
         )
@@ -398,6 +405,7 @@ class Shard:
             )
 
             def record(response=response, request=request) -> None:
+                _QUEUE_WAIT_MS.observe((forward_at - request.enqueued_at) * 1000.0)
                 _REQUEST_LATENCY_MS.observe(response.latency_ms)
                 _REQUESTS_TOTAL.inc(outcome="ok")
                 pool.monitor_observe(
@@ -431,6 +439,7 @@ class ShardPool:
         self._stopped = False
         self._admitted = 0
         self._shed_overload = 0
+        self._shed_deadline = 0
         self._shed_closed = 0
         self._redispatched = 0
         num_shards = config.num_shards
@@ -467,8 +476,10 @@ class ShardPool:
         """Slot 0 serves the caller's model; later slots get deep copies.
 
         A deep copy duplicates the float weight arrays bit-for-bit, so every
-        replica answers exactly like the artifact it came from — sharding
-        changes capacity and blast radius, never answers.
+        replica answers exactly like the artifact it came from.  A replica
+        buys a failure domain, not capacity: the shards' threads share one
+        interpreter lock, so sharding narrows the blast radius of a crash
+        or hang and never changes answers.
         """
         if slot == 0:
             return self.model
@@ -625,6 +636,7 @@ class ShardPool:
             if request.deadline_at is not None and request.expired(
                 time.perf_counter()
             ):
+                self._shed_deadline += 1
                 _SHED_TOTAL.inc(reason="deadline")
                 raise DeadlineExceeded("request deadline expired before admission")
             touch_shared_state("serve-pool", self)
@@ -928,6 +940,7 @@ class ShardPool:
         with self._lock:
             shards = list(self._shards)
             shed_overload = self._shed_overload
+            shed_deadline = self._shed_deadline
             shed_closed = self._shed_closed
             redispatched = self._redispatched
             admitted = self._admitted
@@ -939,7 +952,7 @@ class ShardPool:
             "batches": sum(s.batches_served for s in shards),
             "errors": sum(s.errors for s in shards),
             "shed_overload": shed_overload,
-            "shed_deadline": sum(s.shed_deadline for s in shards),
+            "shed_deadline": shed_deadline + sum(s.shed_deadline for s in shards),
             "shed_closed": shed_closed,
             "redispatched": redispatched,
             "restarts": restarts,

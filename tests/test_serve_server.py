@@ -1,14 +1,17 @@
 """Tests of the micro-batching inference server and the live fairness monitor."""
 
 import json
+import queue
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.core import FusedModel
+from repro.obs import METRICS
 from repro.serve import (
     FairnessMonitor,
     InferenceServer,
@@ -16,6 +19,7 @@ from repro.serve import (
     ServeConfig,
     ServeHTTPServer,
 )
+from repro.serve.supervisor import _SHUTDOWN, PendingRequest, Shard
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +42,7 @@ def direct_predictions(bound_model, serving_features):
 
 def make_server(bound_model, **overrides) -> InferenceServer:
     config = ServeConfig(
-        **{"batch_window_ms": 5.0, "max_batch": 32, "log_every": 0, **overrides}
+        **{"max_batch": 32, "log_every": 0, **overrides}
     )
     return InferenceServer(bound_model, config)
 
@@ -47,7 +51,7 @@ class TestMicroBatcher:
     def test_sequential_requests_match_direct_predictions(
         self, bound_model, serving_features, direct_predictions
     ):
-        with make_server(bound_model, batch_window_ms=0.0) as server:
+        with make_server(bound_model) as server:
             client = ServeClient(server)
             for start in range(0, 50, 10):
                 rows = slice(start, start + 10)
@@ -57,11 +61,11 @@ class TestMicroBatcher:
                 )
         assert server.requests_served == 5
 
-    def test_partial_batch_flushes_at_window(
+    def test_partial_batch_is_forwarded_at_once(
         self, bound_model, serving_features, direct_predictions
     ):
-        """Fewer rows than max_batch must still be answered (window flush)."""
-        with make_server(bound_model, max_batch=64, batch_window_ms=2.0) as server:
+        """Fewer rows than max_batch must still be answered."""
+        with make_server(bound_model, max_batch=64) as server:
             response = ServeClient(server).predict(serving_features[:3])
             np.testing.assert_array_equal(response.predictions, direct_predictions[:3])
             assert response.batch_rows == 3
@@ -71,7 +75,7 @@ class TestMicroBatcher:
         self, bound_model, serving_features, direct_predictions
     ):
         """A pre-submitted burst drains in max_batch chunks, preserving order."""
-        server = make_server(bound_model, max_batch=16, batch_window_ms=20.0)
+        server = make_server(bound_model, max_batch=16)
         pending = [
             server.submit(serving_features[i : i + 1]) for i in range(32)
         ]  # queued before the worker starts: a cold burst
@@ -88,7 +92,7 @@ class TestMicroBatcher:
     def test_concurrent_clients_get_their_own_rows(
         self, bound_model, serving_features, direct_predictions
     ):
-        with make_server(bound_model, batch_window_ms=10.0) as server:
+        with make_server(bound_model) as server:
             client = ServeClient(server)
             results = {}
             barrier = threading.Barrier(10)
@@ -135,6 +139,92 @@ class TestMicroBatcher:
         with make_server(bound_model, executor="thread", max_workers=3) as server:
             response = ServeClient(server).predict(serving_features[:25])
             np.testing.assert_array_equal(response.predictions, direct_predictions[:25])
+
+
+class NonBlockingQueue(queue.Queue):
+    """A queue whose blocking ``get`` is an error: the batcher may drain
+    what is queued but must never wait for company."""
+
+    def get(self, block=True, timeout=None):
+        if block:
+            raise AssertionError("the batcher waited on the queue")
+        return super().get(block=False)
+
+
+def queued_request(rows: int) -> PendingRequest:
+    return PendingRequest(
+        features=np.zeros((rows, 1)), groups={}, labels=None, enqueued_at=0.0
+    )
+
+
+def batcher(max_batch: int, queued=()) -> Shard:
+    """A shard over a pre-filled queue; its thread is never started."""
+    request_queue = NonBlockingQueue()
+    for item in queued:
+        request_queue.put_nowait(item)
+    pool = SimpleNamespace(config=ServeConfig(max_batch=max_batch))
+    return Shard(pool, 0, 0, model=None, request_queue=request_queue)
+
+
+def remaining(shard: Shard) -> list:
+    items = []
+    while not shard.queue.empty():
+        items.append(shard.queue.get_nowait())
+    return items
+
+
+class TestCollectBatch:
+    def test_empty_queue_forwards_the_first_request_alone(self):
+        first = queued_request(1)
+        shard = batcher(max_batch=32)
+        assert shard._collect_batch(first) == ([first], False)
+
+    @pytest.mark.parametrize(
+        "first_rows, queued_rows, taken",
+        [
+            # 1 + 3 + 3 = 7 rows < 8, so the 2-row request joins and overshoots
+            (1, (3, 3, 2, 1), 3),
+            # an oversized first request runs alone
+            (20, (1,), 0),
+        ],
+    )
+    def test_drains_queued_requests_in_fifo_order_up_to_max_batch(
+        self, first_rows, queued_rows, taken
+    ):
+        first = queued_request(first_rows)
+        queued = [queued_request(rows) for rows in queued_rows]
+        shard = batcher(max_batch=8, queued=queued)
+        assert shard._collect_batch(first) == ([first] + queued[:taken], False)
+        assert remaining(shard) == queued[taken:]
+
+    def test_shutdown_mid_queue_returns_the_batch_so_far(self):
+        first, before, after = (queued_request(1) for _ in range(3))
+        shard = batcher(max_batch=32, queued=[before, _SHUTDOWN, after])
+        assert shard._collect_batch(first) == ([first, before], True)
+        assert remaining(shard) == [after]
+
+
+class TestQueueWaitMetric:
+    def test_one_observation_per_served_request(
+        self, bound_model, serving_features, direct_predictions
+    ):
+        histogram = METRICS.get("repro_serve_queue_wait_ms")
+        was_enabled = METRICS.enabled
+        METRICS.enable()
+        try:
+            before = histogram.summary()["count"]
+            server = make_server(bound_model, max_batch=4)
+            pending = [server.submit(serving_features[i : i + 1]) for i in range(10)]
+            server.start()
+            for request in pending:
+                assert request.done.wait(timeout=30)
+            response = ServeClient(server).predict(serving_features[:3])
+            np.testing.assert_array_equal(response.predictions, direct_predictions[:3])
+            server.stop()
+            served = histogram.summary()["count"] - before
+        finally:
+            METRICS.enabled = was_enabled
+        assert served == server.requests_served == 11
 
 
 class TestFairnessMonitor:

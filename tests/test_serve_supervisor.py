@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.core import FusedModel
+from repro.obs import METRICS
 from repro.serve import (
     DeadlineExceeded,
     FaultEvent,
@@ -32,6 +33,7 @@ from repro.serve import (
     ShardState,
 )
 from repro.serve.faults import resolve_fault_plan
+from repro.serve.supervisor import PendingRequest
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +56,7 @@ def direct_predictions(bound_model, serving_features):
 
 def make_server(bound_model, **overrides) -> InferenceServer:
     config = ServeConfig(
-        **{"batch_window_ms": 5.0, "max_batch": 32, "log_every": 0, **overrides}
+        **{"max_batch": 32, "log_every": 0, **overrides}
     )
     return InferenceServer(bound_model, config)
 
@@ -75,8 +77,8 @@ class TestShardedIdentity:
     def test_two_shards_answer_bit_identically(
         self, bound_model, serving_features, direct_predictions
     ):
-        """The acceptance bar: sharding changes capacity, never answers."""
-        with make_server(bound_model, num_shards=2, batch_window_ms=1.0) as server:
+        """The acceptance bar: sharding never changes answers."""
+        with make_server(bound_model, num_shards=2) as server:
             client = ServeClient(server)
             for start in range(0, 60, 6):
                 rows = slice(start, start + 6)
@@ -103,7 +105,7 @@ class TestShardedIdentity:
     def test_concurrent_burst_spreads_over_shards(
         self, bound_model, serving_features, direct_predictions
     ):
-        server = make_server(bound_model, num_shards=2, batch_window_ms=2.0)
+        server = make_server(bound_model, num_shards=2)
         pending = [server.submit(serving_features[i : i + 1]) for i in range(24)]
         server.start()
         for i, request in enumerate(pending):
@@ -152,9 +154,7 @@ class TestAdmissionControl:
     def test_healthy_traffic_survives_an_overload_burst(
         self, bound_model, serving_features, direct_predictions
     ):
-        with make_server(
-            bound_model, queue_depth=8, batch_window_ms=0.0
-        ) as server:
+        with make_server(bound_model, queue_depth=8) as server:
             client = ServeClient(server)
             outcomes = {"ok": 0, "shed": 0}
             for i in range(40):
@@ -173,6 +173,35 @@ class TestAdmissionControl:
         server = make_server(bound_model)
         with pytest.raises(ValueError, match="deadline_ms must be positive"):
             server.submit(serving_features[:1], deadline_ms=-1.0)
+
+    def test_deadline_shed_at_admission_is_counted_in_stats(
+        self, bound_model, serving_features
+    ):
+        # InferenceServer.submit rejects non-positive budgets, so a request
+        # already past its deadline reaches the pool only directly
+        shed = METRICS.get("repro_serve_shed_total")
+        was_enabled = METRICS.enabled
+        METRICS.enable()
+        try:
+            before = shed.value(reason="deadline")
+            server = make_server(bound_model)
+            now = time.perf_counter()
+            late = PendingRequest(
+                features=serving_features[:1],
+                groups={},
+                labels=None,
+                enqueued_at=now,
+                deadline_at=now - 1.0,
+            )
+            with pytest.raises(DeadlineExceeded, match="before admission"):
+                server.pool.submit(late)
+            counted = shed.value(reason="deadline") - before
+        finally:
+            METRICS.enabled = was_enabled
+        assert counted == 1
+        assert server.stats()["shed"]["deadline"] == 1
+        assert server.pool.queue_depth() == 0  # never queued
+        server.stop()
 
     def test_expired_requests_are_shed_before_forward(
         self, bound_model, serving_features
@@ -215,7 +244,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=2,
-            batch_window_ms=2.0,
             fault_plan=plan,
             restart_backoff_ms=10.0,
             supervise_interval_ms=5.0,
@@ -246,7 +274,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=1,
-            batch_window_ms=2.0,
             fault_plan=plan,
             restart_backoff_ms=10.0,
             supervise_interval_ms=5.0,
@@ -269,7 +296,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=1,
-            batch_window_ms=2.0,
             fault_plan=plan,
             max_redispatch=0,
             restart_backoff_ms=10.0,
@@ -286,7 +312,7 @@ class TestFaultInjection:
         self, bound_model, serving_features, direct_predictions
     ):
         plan = FaultPlan([FaultEvent(kind="poison_request", at_request=3)])
-        server = make_server(bound_model, batch_window_ms=5.0, fault_plan=plan)
+        server = make_server(bound_model, fault_plan=plan)
         pending = [server.submit(serving_features[i : i + 1]) for i in range(8)]
         server.start()
         for i, request in enumerate(pending):
@@ -426,7 +452,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=1,
-            batch_window_ms=1.0,
             fault_plan=plan,
             restart_backoff_ms=10.0,
             supervise_interval_ms=10.0,
@@ -458,7 +483,6 @@ class TestFaultInjection:
         server = make_server(
             bound_model,
             num_shards=1,
-            batch_window_ms=1.0,
             fault_plan=plan,
             max_redispatch=5,
             max_restarts=1,
@@ -511,7 +535,7 @@ class TestGracefulDrain:
     def test_drain_completes_every_accepted_request_bit_identically(
         self, bound_model, serving_features, direct_predictions
     ):
-        server = make_server(bound_model, num_shards=2, batch_window_ms=2.0)
+        server = make_server(bound_model, num_shards=2)
         pending = [server.submit(serving_features[i : i + 1]) for i in range(20)]
         server.start()
         server.stop()  # drain: nothing accepted may be lost
